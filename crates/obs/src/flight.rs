@@ -13,6 +13,11 @@
 //! The recorder is independent of the telemetry subscriber: it keeps
 //! recording with no sinks installed, and its rings survive
 //! `uninstall` so the dump can happen after the session tears down.
+//!
+//! When a thread exits, its ring leaves the live list and its events
+//! move into one retired ring that keeps the newest [`RING_CAPACITY`]
+//! events of all exited threads, so a process that spawns a thread per
+//! connection holds one ring per *running* thread plus that one.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -83,8 +88,13 @@ impl Ring {
     }
 }
 
+/// Lock order: `rings`, then one ring, then `retired`.
 struct FlightState {
+    /// The rings of running threads.
     rings: Mutex<Vec<Arc<Mutex<Ring>>>>,
+    /// The newest [`RING_CAPACITY`] events of exited threads, in time
+    /// order.
+    retired: Mutex<VecDeque<FlightEvent>>,
     /// Ring contents captured at [`note_incident`] time. The live
     /// rings keep rotating after an incident (a degraded best-effort
     /// run solves dozens more blocks before exit), so the moments
@@ -99,13 +109,35 @@ struct FlightState {
 
 static STATE: OnceLock<FlightState> = OnceLock::new();
 
+/// A thread's registration: the ring it appends to, shared with the
+/// live list until the thread exits and the handle drops.
+struct RingHandle(Arc<Mutex<Ring>>);
+
+impl Drop for RingHandle {
+    fn drop(&mut self) {
+        let s = state();
+        let mut rings = lock(&s.rings);
+        if let Some(i) = rings.iter().position(|r| Arc::ptr_eq(r, &self.0)) {
+            rings.swap_remove(i);
+        }
+        let exited = std::mem::take(&mut lock(&self.0).buf);
+        let mut retired = lock(&s.retired);
+        retired.extend(exited);
+        // Both runs are already time-ordered, so this is one merge.
+        retired.make_contiguous().sort_by_key(|e| (e.at_us, e.tid, e.seq));
+        let excess = retired.len().saturating_sub(RING_CAPACITY);
+        retired.drain(..excess);
+    }
+}
+
 thread_local! {
-    static RING: RefCell<Option<Arc<Mutex<Ring>>>> = const { RefCell::new(None) };
+    static RING: RefCell<Option<RingHandle>> = const { RefCell::new(None) };
 }
 
 fn state() -> &'static FlightState {
     STATE.get_or_init(|| FlightState {
         rings: Mutex::new(Vec::new()),
+        retired: Mutex::new(VecDeque::new()),
         pinned: Mutex::new(Vec::new()),
         incidents: Mutex::new(Vec::new()),
         incident: AtomicBool::new(false),
@@ -120,36 +152,42 @@ pub fn arm() {
     crate::set_flag(crate::F_FLIGHT);
 }
 
-/// Disarms the recorder and clears every ring and incident — used by
-/// tests; production dumps happen on armed state at process exit.
+/// Disarms the recorder and clears every ring (the retired one too)
+/// and incident — used by tests; production dumps happen on armed
+/// state at process exit.
 pub fn disarm() {
     crate::clear_flag(crate::F_FLIGHT);
     if let Some(s) = STATE.get() {
-        for ring in lock(&s.rings).iter() {
+        let rings = lock(&s.rings);
+        for ring in rings.iter() {
             lock(ring).buf.clear();
         }
+        lock(&s.retired).clear();
+        drop(rings);
         lock(&s.pinned).clear();
         lock(&s.incidents).clear();
         s.incident.store(false, Ordering::SeqCst);
     }
 }
 
-/// Appends one event to the calling thread's ring.
+/// Appends one event to the calling thread's ring. An event noted
+/// while the thread's locals are being torn down (its ring already
+/// retired) is dropped.
 pub(crate) fn note(kind: &'static str, name: &'static str, num: f64, detail: String) {
     let s = state();
     let at_us = s.epoch.elapsed().as_micros() as u64;
     let ev = FlightEvent { at_us, tid: crate::current_tid(), seq: 0, kind, name, num, detail };
-    RING.with(|slot| {
+    let _ = RING.try_with(|slot| {
         let mut slot = slot.borrow_mut();
-        let arc = slot.get_or_insert_with(|| {
+        let handle = slot.get_or_insert_with(|| {
             let arc = Arc::new(Mutex::new(Ring {
                 buf: VecDeque::with_capacity(RING_CAPACITY),
                 next_seq: 0,
             }));
             lock(&s.rings).push(Arc::clone(&arc));
-            arc
+            RingHandle(arc)
         });
-        lock(arc).push(ev);
+        lock(&handle.0).push(ev);
     });
 }
 
@@ -165,11 +203,17 @@ pub(crate) fn note_incident(name: &'static str, detail: &str) {
     // events that led to the incident (the failing block's span ended
     // on this thread moments ago), and the live ring will rotate them
     // out if the run continues. The dump dedups by (tid, seq).
-    RING.with(|slot| {
-        if let Some(arc) = slot.borrow().as_ref() {
-            lock(&s.pinned).extend(lock(arc).buf.iter().cloned());
+    let _ = RING.try_with(|slot| {
+        if let Some(handle) = slot.borrow().as_ref() {
+            lock(&s.pinned).extend(lock(&handle.0).buf.iter().cloned());
         }
     });
+}
+
+/// Rings of running threads currently registered.
+#[cfg(test)]
+pub(crate) fn live_rings() -> usize {
+    STATE.get().map_or(0, |s| lock(&s.rings).len())
 }
 
 /// Whether any incident was recorded since arming.
@@ -177,17 +221,22 @@ pub fn has_incident() -> bool {
     STATE.get().is_some_and(|s| s.incident.load(Ordering::SeqCst))
 }
 
-/// Whether any event at all is sitting in the rings.
+/// Whether any event at all is sitting in the rings (live, retired or
+/// pinned).
 pub fn events_recorded() -> bool {
     STATE.get().is_some_and(|s| {
-        !lock(&s.pinned).is_empty() || lock(&s.rings).iter().any(|r| !lock(r).buf.is_empty())
+        !lock(&s.pinned).is_empty() || {
+            let rings = lock(&s.rings);
+            rings.iter().any(|r| !lock(r).buf.is_empty()) || !lock(&s.retired).is_empty()
+        }
     })
 }
 
 /// Writes the post-mortem: one header line (pid, incident list), then
-/// every ring's events — plus the windows pinned at incident time —
-/// merged in time order, one JSON object per line. Returns the number
-/// of events written.
+/// every ring's events — the live rings, the retired ring of exited
+/// threads, and the windows pinned at incident time — merged in time
+/// order, one JSON object per line. Returns the number of events
+/// written.
 ///
 /// # Errors
 ///
@@ -195,9 +244,12 @@ pub fn events_recorded() -> bool {
 pub fn dump(mut out: impl Write) -> std::io::Result<usize> {
     let Some(s) = STATE.get() else { return Ok(0) };
     let mut events: Vec<FlightEvent> = Vec::new();
-    for ring in lock(&s.rings).iter() {
+    let rings = lock(&s.rings);
+    for ring in rings.iter() {
         events.extend(lock(ring).buf.iter().cloned());
     }
+    events.extend(lock(&s.retired).iter().cloned());
+    drop(rings);
     events.extend(lock(&s.pinned).iter().cloned());
     events.sort_by_key(|e| (e.at_us, e.tid, e.seq));
     events.dedup_by_key(|e| (e.tid, e.seq));

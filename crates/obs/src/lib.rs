@@ -861,4 +861,88 @@ mod tests {
         flight::disarm();
         assert!(!flight::events_recorded());
     }
+
+    /// Exited threads fold their shard and ring into the retired state:
+    /// the live lists stop growing, totals stay exact, consecutive
+    /// drains still partition the stream, and the post-mortem keeps the
+    /// newest events of the exited threads.
+    #[test]
+    fn exited_threads_retire_their_shard_and_ring() {
+        const THREADS: u32 = 64;
+        const EVENTS_PER_THREAD: u64 = 6; // counter + value + 4 events
+        let _guard = serial();
+        uninstall();
+        flight::disarm();
+        install(Vec::new());
+        flight::arm();
+        let registry = MetricsRegistry::global();
+        let shards_before = registry.live_shards();
+        let rings_before = flight::live_rings();
+
+        let mut tids = Vec::new();
+        for t in 0..THREADS {
+            let tid = std::thread::spawn(move || {
+                counter("retire.count", u64::from(t) + 1);
+                record_value("retire.value", f64::from(t));
+                for _ in 2..EVENTS_PER_THREAD {
+                    flight_event("retire.event", f64::from(t), "");
+                }
+                current_tid()
+            })
+            .join()
+            .unwrap();
+            tids.push(tid);
+        }
+        // Test threads of earlier tests may retire meanwhile, never add.
+        assert!(registry.live_shards() <= shards_before, "exited threads kept their shards");
+        assert!(flight::live_rings() <= rings_before, "exited threads kept their rings");
+
+        let total = u64::from(THREADS * (THREADS + 1) / 2);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter_total("retire.count"), Some(total));
+        let (_, hist) = snap.values.iter().find(|(id, _)| id.name == "retire.value").unwrap();
+        assert_eq!(hist.count(), u64::from(THREADS));
+        assert_eq!(hist.sum(), f64::from(THREADS * (THREADS - 1) / 2));
+
+        // The post-mortem holds exactly the newest RING_CAPACITY events
+        // of the exited threads, each (tid, seq) once. The threads ran
+        // one after another, so those are the tail of emission order.
+        let emitted: Vec<(u64, u64)> = tids
+            .iter()
+            .flat_map(|&tid| (0..EVENTS_PER_THREAD).map(move |seq| (tid, seq)))
+            .collect();
+        let newest: std::collections::BTreeSet<(u64, u64)> =
+            emitted[emitted.len() - flight::RING_CAPACITY..].iter().copied().collect();
+        let mut buf = Vec::new();
+        flight::dump(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let mut dumped = std::collections::BTreeSet::new();
+        for line in text.lines().skip(1) {
+            let v = crate::json::parse(line).unwrap();
+            let key = (
+                v.get("tid").unwrap().as_f64().unwrap() as u64,
+                v.get("seq").unwrap().as_f64().unwrap() as u64,
+            );
+            if tids.contains(&key.0) {
+                assert!(dumped.insert(key), "duplicate event {key:?}");
+            }
+        }
+        assert_eq!(dumped, newest);
+
+        // drain → drain across an exit: the first drain takes the 64
+        // threads, the second only what a thread recorded afterwards.
+        assert_eq!(registry.drain().counter_total("retire.count"), Some(total));
+        std::thread::spawn(|| counter("retire.count", 7)).join().unwrap();
+        assert_eq!(registry.drain().counter_total("retire.count"), Some(7));
+        assert_eq!(registry.drain().counter_total("retire.count"), None);
+
+        // reset and disarm clear the retired state.
+        std::thread::spawn(|| counter("retire.count", 1)).join().unwrap();
+        install(Vec::new());
+        assert_eq!(registry.snapshot().counter_total("retire.count"), None);
+        assert!(flight::events_recorded());
+        flight::disarm();
+        assert!(!flight::events_recorded());
+        uninstall();
+    }
 }

@@ -3,6 +3,9 @@
 //!
 //! Each instrumented thread owns one [`Shard`] (a pair of `BTreeMap`s
 //! behind a mutex that is only contended when a snapshot is taken).
+//! When the thread exits, its shard leaves the live list and folds into
+//! one `retired` shard, so the registry holds one shard per *running*
+//! thread no matter how many threads a long-lived process has spawned.
 //! [`MetricsRegistry::snapshot`] merges every shard into one
 //! [`RegistrySnapshot`] *without* disturbing the accumulation — a
 //! long-running process can be scraped mid-run — while
@@ -250,8 +253,8 @@ pub const CATALOG: &[MetricDesc] = &[
     MetricDesc {
         name: "serve.latency",
         kind: MetricKind::Histogram,
-        labels: &[],
-        help: "End-to-end request latency in milliseconds",
+        labels: &["route"],
+        help: "End-to-end request latency in milliseconds by route",
     },
     MetricDesc {
         name: "serve.requests",
@@ -262,8 +265,8 @@ pub const CATALOG: &[MetricDesc] = &[
     MetricDesc {
         name: "serve.shed",
         kind: MetricKind::Counter,
-        labels: &[],
-        help: "Requests shed by admission control (429 Retry-After)",
+        labels: &["reason"],
+        help: "Requests shed by admission control (429 Retry-After) by reason",
     },
     MetricDesc {
         name: "sim.availability",
@@ -370,6 +373,27 @@ impl Shard {
         self.counters.clear();
         self.values.clear();
     }
+
+    /// Adds `other`'s series into this shard. Ids are cloned only for
+    /// series this shard has not seen yet.
+    fn merge(&mut self, other: &Shard) {
+        for (id, v) in &other.counters {
+            match self.counters.get_mut(id) {
+                Some(total) => *total += v,
+                None => {
+                    self.counters.insert(id.clone(), *v);
+                }
+            }
+        }
+        for (id, h) in &other.values {
+            match self.values.get_mut(id) {
+                Some(total) => total.merge(h),
+                None => {
+                    self.values.insert(id.clone(), h.clone());
+                }
+            }
+        }
+    }
 }
 
 /// A merged, point-in-time view of every series in the registry.
@@ -415,8 +439,13 @@ impl RegistrySnapshot {
 /// Obtained via [`MetricsRegistry::global`]; instrumentation writes to
 /// it through the free functions in the crate root (`counter`,
 /// `counter_with`, …), which are gated on the telemetry flag.
+///
+/// Lock order: `shards`, then one shard, then `retired`.
 pub struct MetricsRegistry {
+    /// The shards of running threads.
     shards: Mutex<Vec<Arc<Mutex<Shard>>>>,
+    /// Everything recorded by threads that have exited.
+    retired: Mutex<Shard>,
     /// Gauges are set-not-accumulated, so they live globally (last
     /// write wins, under one rarely-taken lock) instead of per shard.
     gauges: Mutex<BTreeMap<SeriesId, f64>>,
@@ -424,9 +453,25 @@ pub struct MetricsRegistry {
 
 static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
 
+/// A thread's registration: the shard it writes, shared with the
+/// registry's live list until the thread exits and the handle drops.
+struct ShardHandle(Arc<Mutex<Shard>>);
+
+impl Drop for ShardHandle {
+    fn drop(&mut self) {
+        let registry = MetricsRegistry::global();
+        let mut shards = lock(&registry.shards);
+        if let Some(i) = shards.iter().position(|s| Arc::ptr_eq(s, &self.0)) {
+            shards.swap_remove(i);
+        }
+        let exited = std::mem::take(&mut *lock(&self.0));
+        lock(&registry.retired).merge(&exited);
+    }
+}
+
 thread_local! {
     /// This thread's shard, shared with the global registry.
-    static SHARD: RefCell<Option<Arc<Mutex<Shard>>>> = const { RefCell::new(None) };
+    static SHARD: RefCell<Option<ShardHandle>> = const { RefCell::new(None) };
 }
 
 impl MetricsRegistry {
@@ -434,6 +479,7 @@ impl MetricsRegistry {
     pub fn global() -> &'static MetricsRegistry {
         REGISTRY.get_or_init(|| MetricsRegistry {
             shards: Mutex::new(Vec::new()),
+            retired: Mutex::new(Shard::default()),
             gauges: Mutex::new(BTreeMap::new()),
         })
     }
@@ -452,49 +498,71 @@ impl MetricsRegistry {
         self.collect(true)
     }
 
-    /// Clears every shard and gauge (a fresh install).
+    /// Clears every shard, the retired shard and every gauge (a fresh
+    /// install).
     pub(crate) fn reset(&self) {
-        for shard in lock(&self.shards).iter() {
+        let shards = lock(&self.shards);
+        for shard in shards.iter() {
             lock(shard).clear();
         }
+        lock(&self.retired).clear();
         lock(&self.gauges).clear();
     }
 
     fn collect(&self, reset: bool) -> RegistrySnapshot {
-        let mut counters: BTreeMap<SeriesId, u64> = BTreeMap::new();
-        let mut values: BTreeMap<SeriesId, Histogram> = BTreeMap::new();
-        for shard in lock(&self.shards).iter() {
+        let mut merged = Shard::default();
+        // Held throughout, so a thread retiring mid-merge is counted
+        // exactly once: either live or retired.
+        let shards = lock(&self.shards);
+        for shard in shards.iter() {
             let mut shard = lock(shard);
-            for (id, v) in &shard.counters {
-                *counters.entry(id.clone()).or_insert(0) += v;
-            }
-            for (id, h) in &shard.values {
-                values.entry(id.clone()).or_default().merge(h);
-            }
+            merged.merge(&shard);
             if reset {
                 shard.clear();
             }
         }
+        let mut retired = lock(&self.retired);
+        merged.merge(&retired);
+        if reset {
+            retired.clear();
+        }
+        drop(retired);
+        drop(shards);
         let gauges = lock(&self.gauges).iter().map(|(id, v)| (id.clone(), *v)).collect();
         RegistrySnapshot {
-            counters: counters.into_iter().collect(),
+            counters: merged.counters.into_iter().collect(),
             gauges,
-            values: values.into_iter().collect(),
+            values: merged.values.into_iter().collect(),
         }
+    }
+
+    /// Shards of running threads currently registered.
+    #[cfg(test)]
+    pub(crate) fn live_shards(&self) -> usize {
+        lock(&self.shards).len()
     }
 }
 
-/// Runs `f` on this thread's shard, registering it on first use.
+/// Runs `f` on this thread's shard, registering it on first use. Once
+/// the thread-local is gone (a record made while the thread's locals
+/// are being torn down), `f` runs on the retired shard instead, so no
+/// record is lost.
 fn with_shard(f: impl FnOnce(&mut Shard)) {
-    SHARD.with(|slot| {
+    let mut f = Some(f);
+    let _ = SHARD.try_with(|slot| {
         let mut slot = slot.borrow_mut();
-        let arc = slot.get_or_insert_with(|| {
+        let handle = slot.get_or_insert_with(|| {
             let arc = Arc::new(Mutex::new(Shard::default()));
             lock(&MetricsRegistry::global().shards).push(Arc::clone(&arc));
-            arc
+            ShardHandle(arc)
         });
-        f(&mut lock(arc));
+        if let Some(f) = f.take() {
+            f(&mut lock(&handle.0));
+        }
     });
+    if let Some(f) = f {
+        f(&mut lock(&MetricsRegistry::global().retired));
+    }
 }
 
 pub(crate) fn add_counter(id: SeriesId, delta: u64) {

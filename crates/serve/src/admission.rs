@@ -48,8 +48,8 @@ impl ShedReason {
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
-            ShedReason::QueueFull => "queue-full",
-            ShedReason::TenantLimit => "tenant-limit",
+            ShedReason::QueueFull => "queue_full",
+            ShedReason::TenantLimit => "tenant_limit",
         }
     }
 }
@@ -90,7 +90,7 @@ impl Admission {
             None
         };
         if let Some(reason) = reason {
-            rascad_obs::counter("serve.shed", 1);
+            rascad_obs::counter_with("serve.shed", &[("reason", reason.as_str())], 1);
             return Err(reason);
         }
         c.total += 1;

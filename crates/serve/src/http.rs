@@ -212,6 +212,10 @@ pub fn status_reason(status: u16) -> &'static str {
 /// (e.g. `Retry-After`); `Content-Length` and `Connection` are always
 /// emitted here.
 ///
+/// Head and body go out as one buffer in a single `write_all`: split
+/// into two writes, the body segment would wait for the client's
+/// delayed ACK of the head (Nagle), ~40 ms per keep-alive exchange.
+///
 /// # Errors
 ///
 /// Propagates socket write errors (including write-timeout trips).
@@ -223,25 +227,24 @@ pub fn write_response(
     body: &str,
     close: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut out = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
         status_reason(status),
         body.len(),
     );
     for (k, v) in extra {
-        head.push_str(k);
-        head.push_str(": ");
-        head.push_str(v);
-        head.push_str("\r\n");
+        out.push_str(k);
+        out.push_str(": ");
+        out.push_str(v);
+        out.push_str("\r\n");
     }
-    head.push_str(if close {
+    out.push_str(if close {
         "Connection: close\r\n\r\n"
     } else {
         "Connection: keep-alive\r\n\r\n"
     });
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    out.push_str(body);
+    stream.write_all(out.as_bytes())
 }
 
 #[cfg(test)]

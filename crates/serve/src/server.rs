@@ -21,7 +21,7 @@
 //!    in-flight solves, flush a final metrics scrape, dump the flight
 //!    recorder if an incident was recorded.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -83,18 +83,36 @@ pub struct ServeSummary {
 /// Clonable remote control for a running server; `shutdown()` is what
 /// the SIGTERM handler (or a test) calls.
 #[derive(Clone)]
-pub struct ShutdownHandle(Arc<AtomicBool>);
+pub struct ShutdownHandle {
+    flag: Arc<AtomicBool>,
+    /// The listener's bound address, self-connected to wake a blocked
+    /// `accept`.
+    addr: SocketAddr,
+}
 
 impl ShutdownHandle {
-    /// Requests a graceful shutdown; idempotent.
+    /// Requests a graceful shutdown; idempotent. Sets the flag, then
+    /// connects to the listener once so the blocking `accept` in
+    /// [`Server::run`] returns and sees it. A listener bound to an
+    /// unspecified address (`0.0.0.0`, `::`) is woken over loopback.
     pub fn shutdown(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        self.flag.store(true, Ordering::SeqCst);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // Refused (the loop already ended) or timed out: either way
+        // there is no accept left to wake.
+        TcpStream::connect_timeout(&wake, Duration::from_secs(1)).ok();
     }
 
     /// Whether shutdown has been requested.
     #[must_use]
     pub fn is_shutting_down(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.flag.load(Ordering::SeqCst)
     }
 }
 
@@ -114,6 +132,7 @@ struct Shared {
 /// The daemon. Bind, then [`run`](Server::run).
 pub struct Server {
     listener: TcpListener,
+    addr: SocketAddr,
     cfg: ServeConfig,
     shared: Arc<Shared>,
 }
@@ -128,6 +147,7 @@ impl Server {
     /// Propagates the bind error (address in use, permission).
     pub fn bind(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
+        let addr = listener.local_addr()?;
         // The service is metrics-first: make sure the registry is
         // accumulating even when the host process installed no sinks.
         // Installed only after a successful bind (install resets the
@@ -135,7 +155,6 @@ impl Server {
         if !rascad_obs::enabled() {
             rascad_obs::install(Vec::new());
         }
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             engine: Engine::new(),
             admission: Admission::new(cfg.admission.clone()),
@@ -148,7 +167,7 @@ impl Server {
             shed: AtomicU64::new(0),
             failures: AtomicU64::new(0),
         });
-        Ok(Server { listener, cfg, shared })
+        Ok(Server { listener, addr, cfg, shared })
     }
 
     /// The bound address (useful with port 0).
@@ -163,7 +182,7 @@ impl Server {
     /// A handle that can stop [`run`](Server::run) from any thread.
     #[must_use]
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle(self.shared.shutdown.clone())
+        ShutdownHandle { flag: self.shared.shutdown.clone(), addr: self.addr }
     }
 
     /// Serves until shutdown is requested, then drains and returns the
@@ -173,9 +192,15 @@ impl Server {
     #[must_use]
     pub fn run(&self) -> ServeSummary {
         rascad_obs::flight::arm();
+        // Blocking accept: an idle server sleeps in the kernel, and
+        // `ShutdownHandle::shutdown` wakes it with a self-connect.
         while !self.shared.shutdown.load(Ordering::SeqCst) {
             match self.listener.accept() {
+                Ok(_) if self.shared.shutdown.load(Ordering::SeqCst) => break,
                 Ok((stream, _peer)) => {
+                    // Responses are written whole, so nothing is gained
+                    // by Nagle's coalescing; it only delays the reply.
+                    stream.set_nodelay(true).ok();
                     let shared = self.shared.clone();
                     shared.open_connections.fetch_add(1, Ordering::SeqCst);
                     std::thread::spawn(move || {
@@ -183,9 +208,8 @@ impl Server {
                         shared.open_connections.fetch_sub(1, Ordering::SeqCst);
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+                // Back off on real accept errors (e.g. out of file
+                // descriptors) instead of spinning on them.
                 Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
         }
@@ -265,7 +289,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             });
 
         let millis = started.elapsed().as_secs_f64() * 1e3;
-        rascad_obs::record_value("serve.latency", millis);
+        rascad_obs::record_value_with("serve.latency", &[("route", route)], millis);
         let alive = respond(&mut stream, shared, route, &outcome, close);
         // A 500 (panic, internal solver failure) is an incident worth a
         // post-mortem ring dump. A 504 is not: the client asked for the

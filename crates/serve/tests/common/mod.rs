@@ -62,6 +62,46 @@ pub fn request(
     parse_response(&raw)
 }
 
+/// A keep-alive connection: each request goes out in one write, each
+/// response is read by its `Content-Length`.
+pub struct KeepAlive {
+    stream: TcpStream,
+    buf: Vec<u8>,
+}
+
+impl KeepAlive {
+    pub fn connect(addr: SocketAddr) -> KeepAlive {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        KeepAlive { stream, buf: Vec::new() }
+    }
+
+    /// One exchange on the open connection. Returns status and body.
+    pub fn request(&mut self, method: &str, path: &str, body: &str) -> (u16, String) {
+        let raw = format!(
+            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        self.stream.write_all(raw.as_bytes()).unwrap();
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let Some(head_end) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
+                let (_, headers, _) = parse_response(&self.buf[..head_end + 4]);
+                let len: usize = header(&headers, "content-length").unwrap().parse().unwrap();
+                let end = head_end + 4 + len;
+                if self.buf.len() >= end {
+                    let (status, _, body) = parse_response(&self.buf[..end]);
+                    self.buf.drain(..end);
+                    return (status, body);
+                }
+            }
+            let n = self.stream.read(&mut chunk).expect("read response");
+            assert!(n > 0, "server closed a keep-alive connection");
+            self.buf.extend_from_slice(&chunk[..n]);
+        }
+    }
+}
+
 /// Splits a raw HTTP/1.1 response into status, headers, body.
 pub fn parse_response(raw: &[u8]) -> (u16, Vec<(String, String)>, String) {
     let text = String::from_utf8_lossy(raw);

@@ -4,11 +4,12 @@
 
 mod common;
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use common::{escape, header, request, spec_dsl, TestServer};
+use common::{escape, header, request, spec_dsl, KeepAlive, TestServer};
 use rascad_obs::json;
-use rascad_serve::{AdmissionConfig, ServeConfig};
+use rascad_obs::registry::{describe, MetricKind};
+use rascad_serve::{AdmissionConfig, ServeConfig, Server};
 
 fn default_server() -> TestServer {
     TestServer::start(ServeConfig::default())
@@ -205,4 +206,114 @@ fn graceful_shutdown_drains_in_flight_requests() {
     assert_eq!(v.get("degraded").unwrap().as_bool(), Some(true), "{body}");
     assert!(summary.drained_clean, "{summary:?}");
     assert!(summary.requests >= 1);
+}
+
+/// Median wall time of `n` identical exchanges on one connection.
+fn median_exchange(
+    conn: &mut KeepAlive,
+    method: &str,
+    path: &str,
+    body: &str,
+    n: usize,
+) -> Duration {
+    let mut times: Vec<Duration> = (0..n)
+        .map(|_| {
+            let started = Instant::now();
+            let (status, reply) = conn.request(method, path, body);
+            assert_eq!(status, 200, "{method} {path}: {reply}");
+            started.elapsed()
+        })
+        .collect();
+    times.sort();
+    times[n / 2]
+}
+
+#[test]
+fn keep_alive_exchanges_do_not_wait_for_delayed_acks() {
+    // A response written as head and body in two segments without
+    // TCP_NODELAY holds the body until the client's delayed ACK:
+    // >= 40 ms per exchange. Whole, one-write responses take ~1 ms.
+    let srv = default_server();
+    let mut conn = KeepAlive::connect(srv.addr);
+    let spec = escape(&spec_dsl());
+    let (status, body) = conn.request(
+        "POST",
+        "/v1/specs",
+        &format!(r#"{{"tenant":"ka","name":"web","spec":"{spec}"}}"#),
+    );
+    assert_eq!(status, 201, "{body}");
+    let health = median_exchange(&mut conn, "GET", "/healthz", "", 50);
+    let solve =
+        median_exchange(&mut conn, "POST", "/v1/solve", r#"{"tenant":"ka","spec_name":"web"}"#, 20);
+    assert!(health < Duration::from_millis(10), "healthz median {health:?}");
+    assert!(solve < Duration::from_millis(10), "solve median {solve:?}");
+}
+
+#[test]
+fn shutdown_wakes_an_idle_blocking_accept() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::bind(ServeConfig { addr: addr.to_string(), ..ServeConfig::default() })
+            .expect("bind");
+        let handle = server.shutdown_handle();
+        let (done, returned) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let summary = server.run();
+            done.send(()).unwrap();
+            summary
+        });
+        // Let the loop reach its blocking accept.
+        std::thread::sleep(Duration::from_millis(100));
+        handle.shutdown();
+        returned
+            .recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|_| panic!("run() on {addr} did not return within 1 s of shutdown()"));
+        let summary = runner.join().unwrap();
+        assert!(summary.drained_clean, "{summary:?}");
+        assert_eq!(summary.requests, 0, "the wake-up connect is not a request");
+    }
+}
+
+#[test]
+fn every_emitted_series_matches_its_catalog_entry() {
+    let srv = default_server();
+    let spec = escape(&spec_dsl());
+    let (status, _, body) =
+        request(srv.addr, "POST", "/v1/solve", &format!(r#"{{"spec":"{spec}"}}"#));
+    assert_eq!(status, 200, "{body}");
+    // One shed per reason, from servers whose gates admit nothing.
+    for (max_inflight, max_per_tenant) in [(0, 1), (1, 0)] {
+        let gate = TestServer::start(ServeConfig {
+            admission: AdmissionConfig { max_inflight, max_per_tenant, retry_after_secs: 1 },
+            ..ServeConfig::default()
+        });
+        let (status, _, body) =
+            request(gate.addr, "POST", "/v1/solve", &format!(r#"{{"spec":"{spec}"}}"#));
+        assert_eq!(status, 429, "{body}");
+    }
+    let (status, _, page) = request(srv.addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    for series in [
+        r#"rascad_serve_shed{reason="queue_full"} "#,
+        r#"rascad_serve_shed{reason="tenant_limit"} "#,
+        r#"rascad_serve_latency_count{route="solve"} "#,
+    ] {
+        assert!(page.contains(series), "{series} missing from the scrape:\n{page}");
+    }
+
+    let snap = rascad_obs::MetricsRegistry::global().snapshot();
+    let emitted = snap
+        .counters
+        .iter()
+        .map(|(id, _)| (id, MetricKind::Counter))
+        .chain(snap.gauges.iter().map(|(id, _)| (id, MetricKind::Gauge)))
+        .chain(snap.values.iter().map(|(id, _)| (id, MetricKind::Histogram)));
+    for (id, kind) in emitted {
+        let series = id.render();
+        let desc = describe(id.name).unwrap_or_else(|| panic!("{series} is not catalogued"));
+        assert_eq!(desc.kind, kind, "{series}: emitted as {kind:?}, catalogued as {:?}", desc.kind);
+        let keys: Vec<&str> = id.labels.iter().map(|(k, _)| k.as_str()).collect();
+        let mut catalogued = desc.labels.to_vec();
+        catalogued.sort_unstable();
+        assert_eq!(keys, catalogued, "{series}: label keys differ from the catalog");
+    }
 }

@@ -153,7 +153,7 @@ cargo run --offline -q -p rascad-cli -- bench --validate BENCH_large.json
 # store -> solve -> metrics path over real TCP, then SIGTERM it and
 # require a clean drain (exit 0). A 50 ms deadline on a 10^5-state
 # chain must come back as a typed 504 without taking the service down.
-echo "==> serve smoke (store, solve, deadline 504, metrics, SIGTERM drain)"
+echo "==> serve smoke (store, solve, deadline 504, metrics, keep-alive, SIGTERM drain)"
 cargo build --offline -q -p rascad-cli
 rm -f target/ci_serve_out.txt target/ci_serve_err.txt target/ci_serve_final.prom
 target/debug/rascad serve --addr 127.0.0.1:0 \
@@ -167,7 +167,7 @@ done
 serve_addr=$(sed -n 's#.*listening on http://\([0-9.:]*\).*#\1#p' target/ci_serve_err.txt)
 test -n "$serve_addr"
 SERVE_ADDR="$serve_addr" python3 - <<'PY'
-import http.client, json, os
+import http.client, json, os, statistics, time
 
 host, port = os.environ["SERVE_ADDR"].rsplit(":", 1)
 
@@ -201,6 +201,22 @@ status, _ = req("GET", "/healthz")
 assert status == 200
 status, page = req("GET", "/metrics")
 assert status == 200 and "rascad_serve_requests" in page, page[:400]
+
+# Keep-alive exchanges must not wait on the client's delayed ACK (a
+# response written as two segments under Nagle stalls ~40 ms each):
+# 20 /healthz on one connection, median under 10 ms.
+conn = http.client.HTTPConnection(host, int(port), timeout=60)
+times = []
+for _ in range(20):
+    started = time.perf_counter()
+    conn.request("GET", "/healthz")
+    resp = conn.getresponse()
+    resp.read()
+    assert resp.status == 200
+    times.append((time.perf_counter() - started) * 1e3)
+conn.close()
+median = statistics.median(times)
+assert median < 10.0, f"keep-alive /healthz median {median:.1f} ms: {times}"
 PY
 kill -TERM "$serve_pid"
 wait "$serve_pid"
