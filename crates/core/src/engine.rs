@@ -25,7 +25,8 @@
 //!
 //! The pool never nests: a worker that reaches another `par_map` (e.g. a
 //! parallel sweep whose points each solve a hierarchy) runs the inner
-//! loop inline, so a sweep uses exactly `threads` OS threads.
+//! loop inline, so a sweep uses exactly `threads` OS threads, the
+//! calling thread among them.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -79,9 +80,30 @@ thread_local! {
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Maps `f` over `items` on up to `threads` scoped workers, returning
-/// results in input order. Falls back to an inline loop for one thread,
-/// one item, or when already running on a pool worker.
+/// Marks the calling thread as a pool worker until dropped, then
+/// restores the previous mark (also when the work unwinds).
+struct InPool(bool);
+
+impl InPool {
+    fn enter() -> InPool {
+        InPool(IN_POOL.with(|c| c.replace(true)))
+    }
+}
+
+impl Drop for InPool {
+    fn drop(&mut self) {
+        IN_POOL.with(|c| c.set(self.0));
+    }
+}
+
+/// Maps `f` over `items` on up to `threads` workers — the calling
+/// thread and `threads - 1` scoped helpers — returning results in input
+/// order. Falls back to an inline loop for one thread, one item, or
+/// when already running on a pool worker.
+///
+/// The caller works instead of idling in the join, so a two-worker
+/// batch (a daemon's per-request hierarchy solve) spawns one thread,
+/// not two.
 ///
 /// Each item's result is computed exactly once into its own slot, so the
 /// output is independent of scheduling; a panicking worker propagates
@@ -102,19 +124,21 @@ where
     rascad_obs::record_value("core.pool.workers", workers as f64);
     let slots: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                IN_POOL.with(|c| c.set(true));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let _ = slots[i].set(f(i, &items[i]));
-                }
-            });
+    let work = || {
+        let _worker = InPool::enter();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let _ = slots[i].set(f(i, &items[i]));
         }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
+        }
+        work();
     });
     slots.into_iter().map(|s| s.into_inner().expect("worker filled slot")).collect()
 }
@@ -879,6 +903,37 @@ mod tests {
             inner_out.iter().sum::<usize>()
         });
         assert_eq!(out, vec![6, 10, 14, 18]);
+    }
+
+    #[test]
+    fn par_map_caller_is_one_of_the_workers() {
+        // Both items wait for each other, so they run at once on the
+        // batch's two workers; one of them must be the caller.
+        let both = std::sync::Barrier::new(2);
+        let ids = par_map(&[0, 1], 2, |_, _| {
+            both.wait();
+            std::thread::current().id()
+        });
+        assert_ne!(ids[0], ids[1]);
+        assert!(ids.contains(&std::thread::current().id()), "the caller ran no item");
+        // The caller's worker mark is lifted after the batch, so its
+        // next batch fans out again rather than running inline.
+        assert!(!IN_POOL.with(Cell::get));
+    }
+
+    #[test]
+    fn par_map_panic_on_caller_clears_worker_mark() {
+        let items: Vec<usize> = (0..8).collect();
+        let caught = std::panic::catch_unwind(|| {
+            par_map(&items, 2, |_, &x| {
+                if x < items.len() {
+                    panic!("item {x} fails");
+                }
+                x
+            })
+        });
+        assert!(caught.is_err());
+        assert!(!IN_POOL.with(Cell::get));
     }
 
     #[test]
