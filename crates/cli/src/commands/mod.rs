@@ -187,23 +187,26 @@ COMMANDS:
                                         Monte-Carlo cross-check of the analytic solution
     fielddata <spec.rascad> [months [servers [seed]]]
                                         generate synthetic field data and compare with the model
-    bench [--quick|--full] [--sweep] [--label L] [--out F] [--json] [--compare BASE.json]
-          [--warn-ratio R] [--fail-ratio R] [--floor-us US] [--residual-floor R]
-                                        run the deterministic benchmark suite and write a
-                                        versioned BENCH_<label>.json (per-stage timings, span
-                                        aggregates, solver diagnostics, per-stage accuracy
-                                        certificates, environment metadata); --compare checks
-                                        against a baseline and exits 6 on a timing regression
-                                        past the fail threshold OR an accuracy regression (a
+    bench [--quick|--full] [--sweep|--large|--serve] [--label L] [--out F] [--json]
+          [--compare BASE.json] [--warn-ratio R] [--fail-ratio R] [--floor-us US]
+          [--residual-floor R]
+                                        run one benchmark workload and write a versioned
+                                        BENCH_<label>.json (per-stage timings, span
+                                        aggregates, solver diagnostics, accuracy
+                                        certificates, environment metadata). Workloads:
+                                        the default suite (the generate-and-solve
+                                        pipeline); --sweep (solve engine vs the sequential
+                                        baseline, cache stats, bit-identity); --large
+                                        (10^4-10^5-state sparse solve, 1000-unit k-of-n
+                                        block, lump proof); --serve (in-process daemon:
+                                        >=1k solves, shed burst, deadline probe, drain).
+                                        --compare checks against a baseline of the same
+                                        workload and exits 6 on a timing regression past
+                                        the fail threshold OR an accuracy regression (a
                                         certified residual grown 10x past the baseline and
-                                        above the residual floor, default 1e-13); --sweep runs
-                                        the sweep-scaling workload instead (solve engine vs
-                                        the sequential baseline, cache stats, bit-identity)
-    bench --validate <file.json>        check that a BENCH document parses and is schema-valid
-    bench --serve [--validate] [--out F] [--label L]
-                                        load-test an in-process daemon (>=1k solves, bursts,
-                                        deadline probe) and write BENCH_serve.json with the
-                                        latency histogram and shed rate
+                                        above the residual floor, default 1e-13)
+    bench --validate <file.json>        check that a BENCH document is schema-valid and
+                                        meets its workload's claims
     serve [--addr HOST:PORT] [--max-inflight N] [--max-per-tenant N] [--retry-after SECS]
           [--max-specs N] [--drain-secs N] [--metrics-final FILE]
                                         run the availability-model daemon: POST /v1/specs

@@ -10,7 +10,6 @@ use crate::error::GmbError;
 /// A value that resolves at solve time: a constant, a named parameter,
 /// or the availability of another registered model (the hierarchy).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Value {
     /// A literal value.
     Const(f64),
@@ -47,7 +46,6 @@ impl From<f64> for Value {
 /// A GMB Markov model: states with rewards, transitions with [`Value`]
 /// rates.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MarkovSpec {
     states: Vec<(String, f64)>,
     transitions: Vec<(usize, usize, Value)>,
@@ -88,7 +86,6 @@ impl MarkovSpec {
 /// A GMB semi-Markov model: states with sojourn distributions, jump
 /// probabilities as [`Value`]s.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SemiMarkovSpec {
     states: Vec<(String, f64, SojournDistribution)>,
     jumps: Vec<(usize, usize, Value)>,
@@ -122,7 +119,6 @@ impl SemiMarkovSpec {
 /// A GMB RBD: like [`rascad_rbd::Rbd`] but with [`Value`] leaves, so a
 /// block can be a constant, a parameter, or another model.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RbdSpec {
     /// A basic block with a resolvable availability.
     Leaf(Value),
@@ -179,7 +175,6 @@ impl RbdSpec {
 
 /// One registered model.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum Model {
     Markov(MarkovSpec),
     SemiMarkov(SemiMarkovSpec),
@@ -189,7 +184,6 @@ enum Model {
 /// A named, hierarchical collection of models with a shared parameter
 /// table.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModelRegistry {
     models: BTreeMap<String, Model>,
     parameters: HashMap<String, f64>,
@@ -497,33 +491,6 @@ impl ModelRegistry {
         Ok(analysis.mttf)
     }
 
-    /// Serializes the whole workbench (models + parameters) to JSON —
-    /// the GMB equivalent of the paper's model file sharing.
-    ///
-    /// Only available with the `serde` feature (requires the real
-    /// serde/serde_json crates — see vendor/README.md).
-    #[cfg(feature = "serde")]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("registry types serialize infallibly")
-    }
-
-    /// Loads a workbench saved with [`to_json`](Self::to_json).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GmbError::Markov`] wrapping a parse description on
-    /// malformed input.
-    ///
-    /// Only available with the `serde` feature (requires the real
-    /// serde/serde_json crates — see vendor/README.md).
-    #[cfg(feature = "serde")]
-    pub fn from_json(s: &str) -> Result<Self, GmbError> {
-        serde_json::from_str(s).map_err(|e| GmbError::Markov {
-            model: "<registry json>".to_string(),
-            source: rascad_markov::MarkovError::InvalidOption { what: e.to_string() },
-        })
-    }
-
     /// Models (transitively) referenced by `name`, in no particular
     /// order.
     ///
@@ -691,41 +658,6 @@ mod tests {
         let a_m = reg.availability("m").unwrap();
         let a_top = reg.availability("top").unwrap();
         assert!((a_top - a_m * a_m).abs() < 1e-12);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn workbench_json_roundtrip() {
-        let mut reg = ModelRegistry::new();
-        reg.set_parameter("lambda", 0.003);
-        reg.add_markov("m", two_state_markov(Value::param("lambda"), 0.4.into())).unwrap();
-        reg.add_rbd(
-            "top",
-            RbdSpec::k_of_n(
-                1,
-                vec![RbdSpec::leaf(Value::model("m")), RbdSpec::leaf(Value::constant(0.99))],
-            ),
-        )
-        .unwrap();
-        let mut s = SemiMarkovSpec::new();
-        let a = s.state("a", 1.0, SojournDistribution::Weibull { shape: 2.0, scale: 100.0 });
-        let b2 = s.state("b", 0.0, SojournDistribution::Deterministic { value: 1.0 });
-        s.jump(a, b2, 1.0);
-        s.jump(b2, a, 1.0);
-        reg.add_semi_markov("smp", s).unwrap();
-
-        let json = reg.to_json();
-        let back = ModelRegistry::from_json(&json).unwrap();
-        assert_eq!(back.model_names(), reg.model_names());
-        assert_eq!(back.parameter("lambda"), Some(0.003));
-        // Solutions survive the round trip.
-        for name in ["m", "top", "smp"] {
-            assert!(
-                (reg.availability(name).unwrap() - back.availability(name).unwrap()).abs() < 1e-15,
-                "{name}"
-            );
-        }
-        assert!(ModelRegistry::from_json("{ not json").is_err());
     }
 
     #[test]

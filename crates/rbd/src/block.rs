@@ -7,7 +7,6 @@ pub type ComponentId = usize;
 
 /// Table of named components with steady-state availabilities.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ComponentTable {
     names: Vec<String>,
     availabilities: Vec<f64>,
@@ -92,7 +91,6 @@ impl ComponentTable {
 /// stays exact by pivoting (Shannon decomposition) on each repeated
 /// component.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Rbd {
     /// A basic block backed by a table component.
     Component(ComponentId),
@@ -458,16 +456,5 @@ mod tests {
         t.set_availability(a, 1.0).unwrap();
         assert!((r.availability(&t).unwrap() - 0.8).abs() < 1e-15);
         assert!(t.set_availability(42, 0.5).is_err());
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip() {
-        let (t, a, b, c) = table3();
-        let r = Rbd::k_of_n(2, vec![Rbd::component(a), Rbd::component(b), Rbd::component(c)]);
-        let json = serde_json::to_string(&(&t, &r)).unwrap();
-        let (t2, r2): (ComponentTable, Rbd) = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, t2);
-        assert_eq!(r, r2);
     }
 }

@@ -10,7 +10,6 @@ use crate::params::GlobalParams;
 
 /// An MG diagram: a named list of blocks, modeled as a serial RBD.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Diagram {
     /// Diagram name, e.g. `"Data Center System"`.
     pub name: String,
@@ -137,7 +136,6 @@ impl Diagram {
 /// A complete system specification: the root diagram plus the global
 /// parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemSpec {
     /// The level-1 diagram.
     pub root: Diagram,
@@ -170,8 +168,7 @@ impl SystemSpec {
     /// Serializes to the canonical JSON interchange form.
     ///
     /// The writer is hand-rolled (see [`crate::json`]) and emits the
-    /// same document shape serde would, so it works in offline builds
-    /// without the `serde` feature.
+    /// same document shape `#[derive(serde::Serialize)]` would.
     ///
     /// # Errors
     ///

@@ -53,7 +53,7 @@ pub enum SpecError {
     },
     /// JSON (de)serialization error.
     Json {
-        /// Underlying serde message.
+        /// Underlying parser message.
         message: String,
     },
 }

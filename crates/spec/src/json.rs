@@ -3,8 +3,8 @@
 //!
 //! The wire shape matches what `#[derive(serde::Serialize)]` produces
 //! for these types (unit newtypes as bare numbers, enum unit variants
-//! as strings, `Option` as the value or `null`), so documents written
-//! by a serde-enabled build and by this module are interchangeable.
+//! as strings, `Option` as the value or `null`), so serde-based tools
+//! can read and write the same documents.
 //! Unknown object keys are ignored; missing optional fields read as
 //! `None`.
 

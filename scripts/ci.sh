@@ -138,16 +138,14 @@ cargo run --offline -q -p rascad-cli -- bench --sweep --quick \
 cargo run --offline -q -p rascad-cli -- bench --validate target/bench_sweep_tn.json
 
 # Large-state-space smoke: a fresh quick run must solve the 10^4-state
-# chain on the sparse rung with a certified ok residual, and the
-# committed 10^5-state baseline must stay structurally valid. The
-# validator gates the machine-independent claims outright (sparse-rung
+# chain on the sparse rung with a certified ok residual. The validator
+# gates the machine-independent claims outright (sparse-rung
 # certificate < 1e-9, occupancy lump to n+1 states, lump proof within
 # 1e-9, bit-identical repeats); timings are never gated across hosts.
-echo "==> bench large state space (quick smoke + committed baseline)"
+echo "==> bench large state space (quick smoke)"
 cargo run --offline -q -p rascad-cli -- bench --large --quick \
     --label large-smoke --out target/bench_large_smoke.json > /dev/null
 cargo run --offline -q -p rascad-cli -- bench --validate target/bench_large_smoke.json
-cargo run --offline -q -p rascad-cli -- bench --validate BENCH_large.json
 
 # Serve smoke: boot the daemon on an ephemeral port, drive the
 # store -> solve -> metrics path over real TCP, then SIGTERM it and
@@ -229,13 +227,19 @@ grep -q '^rascad_serve_requests{route="solve",status="504"} ' target/ci_serve_fi
 # solves through the daemon, shed under the admission burst, answer the
 # 50 ms deadline probe with a typed error, scrape a validator-clean
 # metrics page, and drain cleanly — the validator gates all of those
-# structural claims outright. The committed baseline must stay valid
-# too; latency numbers are recorded, never gated across hosts.
-echo "==> bench serve load (fresh run + committed baseline)"
+# structural claims outright. Latency numbers are recorded, never gated
+# across hosts.
+echo "==> bench serve load (fresh run)"
 cargo run --offline -q -p rascad-cli -- bench --serve --quick \
     --label serve-smoke --out target/bench_serve_smoke.json > /dev/null
 cargo run --offline -q -p rascad-cli -- bench --validate target/bench_serve_smoke.json
-cargo run --offline -q -p rascad-cli -- bench --validate BENCH_serve.json
+
+# Every committed baseline must stay valid against its workload's
+# structural claims, so a stale or hand-edited BENCH_*.json fails here.
+echo "==> committed bench baselines (validate every BENCH_*.json)"
+for doc in BENCH_*.json; do
+    cargo run --offline -q -p rascad-cli -- bench --validate "$doc"
+done
 
 # Determinism gate: the same sweep run at 1 thread and at 8 threads
 # must produce byte-identical reports.
