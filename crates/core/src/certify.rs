@@ -176,11 +176,11 @@ pub fn certify_steady(
     }
 }
 
-/// Certifies a transient (uniformization) solution: the residual is the
-/// truncation error of the Poisson series — the probability mass the
-/// truncated sum failed to capture — and the mass error is checked on
-/// the (renormalized) returned distribution. Records
-/// `solve.certified{verdict}`.
+/// Certifies a transient solution: the residual is the truncation bound
+/// of the kernel's Poisson series — the probability mass the truncated
+/// sum failed to capture — and the mass error is checked on the
+/// (renormalized) returned distribution. The trail names the kernel
+/// that ran. Records `solve.certified{verdict}`.
 #[must_use]
 pub fn certify_transient(sol: &TransientSolution) -> SolutionCertificate {
     let prob_mass_error = (sol.probabilities.iter().sum::<f64>() - 1.0).abs();
@@ -191,7 +191,7 @@ pub fn certify_transient(sol: &TransientSolution) -> SolutionCertificate {
         prob_mass_error,
         condition_estimate: None,
         method: "transient".to_string(),
-        trail: vec![format!("transient: uniformization to t={}", sol.time)],
+        trail: vec![format!("transient: {} to t={}", sol.kernel.name(), sol.time)],
         verdict,
     }
 }
@@ -208,6 +208,18 @@ mod tests {
         b.add_transition(up, down, 1e-4);
         b.add_transition(down, up, 1e-1);
         b.build().unwrap()
+    }
+
+    #[test]
+    fn transient_trail_names_the_kernel_that_ran() {
+        use rascad_markov::transient::solve;
+        let chain = two_state();
+        let opts = rascad_markov::TransientOptions::default();
+        for (t, kernel) in [(8760.0, "nonnegative doubling"), (1.0, "uniformization")] {
+            let cert = certify_transient(&solve(&chain, &[1.0, 0.0], t, opts).unwrap());
+            assert_eq!(cert.trail, vec![format!("transient: {kernel} to t={t}")]);
+            assert_eq!(cert.verdict, Verdict::Ok);
+        }
     }
 
     #[test]

@@ -212,14 +212,23 @@ pub fn reliability_curve(
         });
     }
     let abs = make_absorbing(chain);
-    let mut p0 = vec![0.0; abs.len()];
-    p0[start] = 1.0;
-    let mut rel = Vec::with_capacity(times.len());
-    for &t in times {
-        let sol = transient::solve(&abs, &p0, t, TransientOptions::default())?;
+    let up_states = abs.up_states();
+    // Solve the times in ascending order, each from the distribution at
+    // the previous one (the Markov property): a point just past another
+    // costs only the series over the gap.
+    let mut order: Vec<usize> = (0..times.len()).collect();
+    order.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
+    let mut p = vec![0.0; abs.len()];
+    p[start] = 1.0;
+    let mut at = 0.0;
+    let mut rel = vec![0.0; times.len()];
+    for i in order {
+        let sol = transient::solve(&abs, &p, times[i] - at, TransientOptions::default())?;
+        p = sol.probabilities;
+        at = times[i];
         // R(t) = probability of still being in an up state.
-        let r: f64 = abs.up_states().iter().map(|&s| sol.probabilities[s]).sum();
-        rel.push(r.clamp(0.0, 1.0));
+        let r: f64 = up_states.iter().map(|&s| p[s]).sum();
+        rel[i] = r.clamp(0.0, 1.0);
     }
 
     let interval_failure_rate = times
@@ -443,5 +452,48 @@ mod tests {
             (integral - analytic).abs() / analytic < 1e-3,
             "integral {integral} vs analytic {analytic}"
         );
+    }
+
+    #[test]
+    fn chained_reliability_solves_match_independent_ones() {
+        // A repairable pair with a latent state: every up state has a
+        // path back to full health, so R(t) mixes several exponentials.
+        let mut b = CtmcBuilder::new();
+        let ok = b.add_state("Ok", 1.0);
+        let one = b.add_state("1up", 1.0);
+        let latent = b.add_state("Latent", 1.0);
+        let down = b.add_state("down", 0.0);
+        b.add_transition(ok, one, 2e-4);
+        b.add_transition(ok, latent, 1e-5);
+        b.add_transition(one, ok, 0.25);
+        b.add_transition(one, down, 1e-4);
+        b.add_transition(latent, ok, 1.0 / 24.0);
+        b.add_transition(latent, down, 2e-4);
+        b.add_transition(down, ok, 0.1);
+        let c = b.build().unwrap();
+        let abs = make_absorbing(&c);
+        let independent = |t: f64| {
+            let mut p0 = vec![0.0; abs.len()];
+            p0[ok] = 1.0;
+            let sol = transient::solve(&abs, &p0, t, TransientOptions::default()).unwrap();
+            abs.up_states().iter().map(|&s| sol.probabilities[s]).sum::<f64>()
+        };
+        for mission in [720.0, 8760.0] {
+            let times = [mission, mission + mission * 1e-3];
+            let curve = reliability_curve(&c, ok, &times).unwrap();
+            let (r0, r1) = (independent(times[0]), independent(times[1]));
+            assert!((curve.reliability[0] - r0).abs() < 1e-12, "{mission}: {curve:?}");
+            assert!((curve.reliability[1] - r1).abs() < 1e-12, "{mission}: {curve:?}");
+            let hazard = (r0 - r1) / ((times[1] - times[0]) * r0);
+            let rel = (curve.hazard_rate[0] - hazard).abs() / hazard;
+            assert!(rel < 1e-6, "{mission}: hazard {} vs {hazard}", curve.hazard_rate[0]);
+        }
+        // Unsorted and repeated times keep their order in the result.
+        let times = [8760.0, 10.0, 720.0, 10.0];
+        let curve = reliability_curve(&c, ok, &times).unwrap();
+        for (r, &t) in curve.reliability.iter().zip(&times) {
+            assert!((r - independent(t)).abs() < 1e-12, "t={t}: {r}");
+        }
+        assert!(reliability_curve(&c, ok, &[5.0, -1.0]).is_err());
     }
 }

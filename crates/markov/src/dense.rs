@@ -118,6 +118,31 @@ impl DenseMatrix {
         out
     }
 
+    /// Writes the product `self * rhs` into `out` (i-k-j order, so the
+    /// inner loop streams one row of `rhs` into one row of `out`; zero
+    /// entries of `self` are skipped). The transient doubling kernel
+    /// squares its nonnegative exponential with this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes do not conform.
+    pub fn mul_into(&self, rhs: &DenseMatrix, out: &mut DenseMatrix) {
+        assert_eq!(self.cols, rhs.rows, "dimension mismatch");
+        assert_eq!((out.rows, out.cols), (self.rows, rhs.cols), "output dimension mismatch");
+        for i in 0..self.rows {
+            let out_row = out.row_mut(i);
+            out_row.fill(0.0);
+            for (k, &a) in self.row(i).iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &b) in out_row.iter_mut().zip(rhs.row(k)) {
+                    *o += a * b;
+                }
+            }
+        }
+    }
+
     /// The induced 1-norm: the maximum absolute column sum.
     pub fn one_norm(&self) -> f64 {
         let mut sums = vec![0.0f64; self.cols];
@@ -432,6 +457,16 @@ impl std::ops::IndexMut<(usize, usize)> for DenseMatrix {
 #[allow(clippy::float_cmp)] // exact equality asserts deterministic arithmetic
 mod tests {
     use super::*;
+
+    #[test]
+    fn mul_into_matches_hand_product() {
+        let a = DenseMatrix::from_rows(&[vec![1.0, 0.0, 2.0], vec![0.5, 3.0, 0.0]]);
+        let b = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![0.0, 1.0], vec![4.0, 0.5]]);
+        let mut out = DenseMatrix::zeros(2, 2);
+        out[(0, 0)] = 99.0; // overwritten, not accumulated into
+        a.mul_into(&b, &mut out);
+        assert_eq!(out, DenseMatrix::from_rows(&[vec![9.0, 3.0], vec![0.5, 4.0]]));
+    }
 
     #[test]
     fn solve_rejects_bad_shapes() {

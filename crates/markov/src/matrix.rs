@@ -179,6 +179,27 @@ impl SparseMatrix {
         }
     }
 
+    /// Writes the product `self * b` with a dense `b` into `out`: row `i`
+    /// of `out` is the combination of the rows of `b` that row `i` of
+    /// `self` selects, so the cost is `nnz × cols(b)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes do not conform.
+    pub fn mul_dense_into(&self, b: &DenseMatrix, out: &mut DenseMatrix) {
+        assert_eq!(self.cols, b.rows(), "dimension mismatch");
+        assert_eq!((out.rows(), out.cols()), (self.rows, b.cols()), "output dimension mismatch");
+        for i in 0..self.rows {
+            let out_row = out.row_mut(i);
+            out_row.fill(0.0);
+            for (j, a) in self.row_entries(i) {
+                for (o, &x) in out_row.iter_mut().zip(b.row(j)) {
+                    *o += a * x;
+                }
+            }
+        }
+    }
+
     /// The transpose in CSR form (row `i` of the result holds column `i`
     /// of `self`). For a generator `Q` this gives the inflow orientation
     /// the Gauss–Seidel sweeps need: row `i` of `Qᵀ` lists the rates
@@ -244,6 +265,20 @@ mod tests {
             3,
             &[(0, 1, 2.0), (0, 0, -2.0), (1, 0, 1.0), (1, 1, -1.0), (2, 2, 0.0)],
         )
+    }
+
+    #[test]
+    fn mul_dense_into_matches_the_dense_product() {
+        let s = sample();
+        let b = DenseMatrix::from_rows(&[
+            vec![1.0, 2.0, 0.5],
+            vec![0.0, -1.0, 3.0],
+            vec![4.0, 0.25, 1.0],
+        ]);
+        let (mut sparse, mut dense) = (DenseMatrix::zeros(3, 3), DenseMatrix::zeros(3, 3));
+        s.mul_dense_into(&b, &mut sparse);
+        s.to_dense().mul_into(&b, &mut dense);
+        assert_eq!(sparse, dense);
     }
 
     #[test]

@@ -7,8 +7,16 @@
 //! and the *expected cumulative reward* (the integral availability) with
 //! the standard one-extra-term recurrence. All terms are non-negative,
 //! so the method is numerically stable for stiff availability chains.
+//!
+//! [`solve`] has two kernels over that DTMC. The series runs about `Λt`
+//! sparse products, which at mission horizons means thousands. For the
+//! small template chains, *nonnegative doubling* instead sums the series
+//! only over `τ = t/2^s` with `Λτ ≤ 1` (about 20 terms) into a dense
+//! `e^{Qτ}`, then squares it `s = ⌈log2 Λt⌉` times. The kernel is chosen
+//! from the chain's size and `Λt`; DESIGN.md records the crossover.
 
 use crate::ctmc::Ctmc;
+use crate::dense::DenseMatrix;
 use crate::error::MarkovError;
 use crate::matrix::SparseMatrix;
 
@@ -43,8 +51,12 @@ pub struct TransientSolution {
     /// (interval availability for 0/1 rewards).
     pub interval_reward: f64,
     /// Probability mass the truncated Poisson series failed to capture
-    /// (before renormalization) — the solve's truncation error.
+    /// (before renormalization) — the solve's truncation error. The
+    /// doubling kernel reports a bound, `2^s` times the tail bound of its
+    /// short series, which is at most the requested `epsilon`.
     pub truncation: f64,
+    /// The kernel that produced the solution.
+    pub kernel: TransientKernel,
 }
 
 /// Uniformized DTMC: `P = I + Q/Λ` with `Λ ≥ max_i |q_ii|`.
@@ -64,9 +76,7 @@ pub struct Uniformized {
 /// gets `Λ = 1` and `P = I`.
 #[must_use]
 pub fn uniformize(chain: &Ctmc) -> Uniformized {
-    let q = chain.generator();
-    let maxd = q.max_abs_diagonal();
-    let rate = if maxd > 0.0 { maxd * 1.02 } else { 1.0 };
+    let rate = uniformization_rate(chain);
     let n = chain.len();
     let mut trips: Vec<(usize, usize, f64)> = Vec::new();
     let mut diag = vec![1.0; n];
@@ -80,8 +90,58 @@ pub fn uniformize(chain: &Ctmc) -> Uniformized {
     Uniformized { rate, dtmc: SparseMatrix::from_triplets(n, n, &trips) }
 }
 
+/// Largest chain, in states, that [`solve`] hands to the doubling
+/// kernel; larger chains stay on the series. Fixed from the measured
+/// crossover recorded in DESIGN.md: the dense squarings cost `n³` each,
+/// and past this size doubling no longer wins by 2x at both the 720 h
+/// and 8,760 h horizons.
+pub const DOUBLING_MAX_STATES: usize = 64;
+
+/// The kernel a transient solve ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TransientKernel {
+    /// The Poisson series `Σ_k w_k p0 Pᵏ`: about `Λt` sparse products.
+    Series,
+    /// Nonnegative doubling: the dense `e^{Qτ}` with `Λτ ≤ 1`, squared
+    /// `⌈log2 Λt⌉` times.
+    Doubling,
+}
+
+impl TransientKernel {
+    /// The name certificate trails and spans carry.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            TransientKernel::Series => "uniformization",
+            TransientKernel::Doubling => "nonnegative doubling",
+        }
+    }
+}
+
+/// The uniformization rate Λ [`uniformize`] picks for `chain`.
+fn uniformization_rate(chain: &Ctmc) -> f64 {
+    let maxd = chain.generator().max_abs_diagonal();
+    if maxd > 0.0 {
+        maxd * 1.02
+    } else {
+        1.0
+    }
+}
+
+/// The kernel [`solve`] runs for `chain` at a horizon `t > 0`.
+#[must_use]
+pub fn kernel_for(chain: &Ctmc, t: f64) -> TransientKernel {
+    select_kernel(chain.len(), uniformization_rate(chain) * t)
+}
+
 /// Solves for state probabilities and rewards at time `t`, starting from
 /// the distribution `p0`.
+///
+/// The kernel is chosen from the chain: chains of at most
+/// [`DOUBLING_MAX_STATES`] states take [`TransientKernel::Doubling`]
+/// unless the horizon is so short that the series is cheaper; every
+/// other solve takes [`TransientKernel::Series`]. Both kernels bound
+/// their truncation by `opts.epsilon`.
 ///
 /// # Errors
 ///
@@ -93,6 +153,41 @@ pub fn solve(
     p0: &[f64],
     t: f64,
     opts: TransientOptions,
+) -> Result<TransientSolution, MarkovError> {
+    solve_inner(chain, p0, t, opts, None)
+}
+
+/// [`solve`] with the kernel fixed by the caller instead of chosen from
+/// the chain — the cross-check between the two kernels.
+///
+/// # Errors
+///
+/// Same conditions as [`solve`].
+pub fn solve_with(
+    chain: &Ctmc,
+    p0: &[f64],
+    t: f64,
+    opts: TransientOptions,
+    kernel: TransientKernel,
+) -> Result<TransientSolution, MarkovError> {
+    solve_inner(chain, p0, t, opts, Some(kernel))
+}
+
+/// What a kernel hands back to [`solve_inner`]: the (unnormalized)
+/// distribution at `t`, the expected cumulative reward over `(0, t)` in
+/// time units, and the truncation bound.
+struct KernelRun {
+    probabilities: Vec<f64>,
+    cumulative: f64,
+    truncation: f64,
+}
+
+fn solve_inner(
+    chain: &Ctmc,
+    p0: &[f64],
+    t: f64,
+    opts: TransientOptions,
+    forced: Option<TransientKernel>,
 ) -> Result<TransientSolution, MarkovError> {
     check_distribution(p0, chain.len())?;
     if !t.is_finite() || t < 0.0 {
@@ -112,6 +207,7 @@ pub fn solve(
             point_reward: point,
             interval_reward: point,
             truncation: 0.0,
+            kernel: forced.unwrap_or(TransientKernel::Series),
         });
     }
 
@@ -122,17 +218,65 @@ pub fn solve(
     let uni = uniformize(chain);
     let lt = uni.rate * t;
     span.record("uniformization_rate", uni.rate);
+    let kernel = forced.unwrap_or_else(|| select_kernel(chain.len(), lt));
+    span.record("kernel", kernel.name());
 
-    // Poisson weights with scaling: iterate w_k = e^{-lt} (lt)^k / k!
-    // in log space start, then multiply up. For large lt use the
-    // steady-state-free straightforward recurrence with renormalization
-    // guard (f64 handles lt up to ~700 in exp; beyond that, start from
-    // the mode with scaling).
+    let run = match kernel {
+        TransientKernel::Series => series(&uni, p0, &rewards, lt, opts, &mut span)?,
+        TransientKernel::Doubling => doubling(&uni, p0, &rewards, lt, opts, &mut span)?,
+    };
+    rascad_obs::counter("markov.transient.solves", 1);
+    rascad_obs::record_value("markov.transient.truncation", run.truncation);
+
+    // Normalize the point distribution against truncation loss.
+    let mut probabilities = run.probabilities;
+    let mass: f64 = probabilities.iter().sum();
+    if mass > 0.0 {
+        for p in &mut probabilities {
+            *p /= mass;
+        }
+    }
+    let point = dot(&probabilities, &rewards);
+    let interval = run.cumulative / t;
+
+    Ok(TransientSolution {
+        time: t,
+        probabilities,
+        point_reward: point,
+        interval_reward: interval.clamp(0.0, rewards.iter().cloned().fold(0.0, f64::max)),
+        truncation: run.truncation,
+        kernel,
+    })
+}
+
+/// The kernel [`solve`] runs for a chain of `states` states at `lt = Λt`:
+/// doubling for chains of at most [`DOUBLING_MAX_STATES`] states, unless
+/// the series is already shorter than `states` terms per squaring — the
+/// measured short-horizon crossover (DESIGN.md), where the few sparse
+/// products of the series cost less than the dense ones of doubling.
+fn select_kernel(states: usize, lt: f64) -> TransientKernel {
+    let squarings = lt.log2().ceil().max(1.0);
+    if states <= DOUBLING_MAX_STATES && lt > states as f64 * squarings {
+        TransientKernel::Doubling
+    } else {
+        TransientKernel::Series
+    }
+}
+
+/// The uniformization series: `p(t) = Σ_k w_k p0 Pᵏ` and the cumulative
+/// reward `(1/Λ) Σ_k W_k p0 Pᵏ r` with `W_k = Σ_{j>k} w_j`.
+fn series(
+    uni: &Uniformized,
+    p0: &[f64],
+    rewards: &[f64],
+    lt: f64,
+    opts: TransientOptions,
+    span: &mut rascad_obs::Span,
+) -> Result<KernelRun, MarkovError> {
+    let n = p0.len();
     let mut probs = p0.to_vec();
-    let mut point_acc = vec![0.0; chain.len()];
-    // cumulative-reward accumulator: L(t) = (1/Λ) Σ_k W_k p0 P^k with
-    // W_k = Σ_{j>k} poisson(j) = 1 - CDF(k).
-    let mut cum_acc = vec![0.0; chain.len()];
+    let mut point_acc = vec![0.0; n];
+    let mut cum_acc = vec![0.0; n];
 
     let weights = poisson_weights(lt, opts.epsilon, opts.max_terms)?;
     // tail[k] = sum_{j > k} w_j  (computed as suffix sums over the
@@ -154,12 +298,12 @@ pub fn solve(
     let mut steps = 0usize;
     // Scratch iterate reused across every SpMV step so the Poisson
     // series allocates nothing per term.
-    let mut next = vec![0.0; chain.len()];
+    let mut next = vec![0.0; n];
     // Truncation-error series: tail[k] is exactly the Poisson mass not
     // yet captured after term k, i.e. the running truncation error.
-    let mut trace = rascad_obs::trace::begin("transient", "truncation", chain.len());
+    let mut trace = rascad_obs::trace::begin("transient", "truncation", n);
     for k in 0..=kmax {
-        for i in 0..chain.len() {
+        for i in 0..n {
             point_acc[i] += weights[k] * probs[i];
             cum_acc[i] += tail[k] * probs[i];
         }
@@ -173,7 +317,7 @@ pub fn solve(
             let delta: f64 = next.iter().zip(&probs).map(|(a, b)| (a - b).abs()).sum();
             std::mem::swap(&mut probs, &mut next);
             if delta < opts.epsilon * 1e-3 {
-                for i in 0..chain.len() {
+                for i in 0..n {
                     point_acc[i] += tail[k] * probs[i];
                     cum_acc[i] += tail2[k + 1] * probs[i];
                 }
@@ -181,34 +325,111 @@ pub fn solve(
             }
         }
     }
+    trace.finish("done");
     span.record("kmax", kmax);
     span.record("steps", steps);
     rascad_obs::record_value("markov.transient.kmax", kmax as f64);
     rascad_obs::counter("markov.transient.vec_mul_steps", steps as u64);
-    rascad_obs::counter("markov.transient.solves", 1);
 
-    // Normalize the point distribution against truncation loss.
-    let mass: f64 = point_acc.iter().sum();
     // The probability mass the truncated series failed to capture —
     // the per-solve summary of the per-term series traced above.
-    let truncation = (1.0 - mass).max(0.0);
-    rascad_obs::record_value("markov.transient.truncation", truncation);
-    trace.finish("done");
-    if mass > 0.0 {
-        for p in &mut point_acc {
-            *p /= mass;
+    let truncation = (1.0 - point_acc.iter().sum::<f64>()).max(0.0);
+    let cumulative = dot(&cum_acc, rewards) / uni.rate;
+    Ok(KernelRun { probabilities: point_acc, cumulative, truncation })
+}
+
+/// Nonnegative doubling. With `s = ⌈log2 Λt⌉` and `τ = t/2^s` (so
+/// `Λτ ≤ 1`), builds the dense `E = e^{Qτ} = Σ_k w_k Pᵏ` and the column
+/// `v = ∫_0^τ e^{Qu} r du = (1/Λ) Σ_k W_k Pᵏ r` from a short Poisson
+/// series, then doubles `s` times: `v ← v + E v`, `E ← E E`. Every
+/// operand is nonnegative, so nothing cancels; each squared `E` has its
+/// rows renormalized to sum 1, which keeps roundoff from compounding
+/// over the squarings.
+///
+/// Truncation: the τ-series stops once a bound on its tail mass is at
+/// most `epsilon / 2^s`, and `s` squarings lose at most `2^s` times
+/// that, so the reported bound stays `<= epsilon`.
+fn doubling(
+    uni: &Uniformized,
+    p0: &[f64],
+    rewards: &[f64],
+    lt: f64,
+    opts: TransientOptions,
+    span: &mut rascad_obs::Span,
+) -> Result<KernelRun, MarkovError> {
+    let n = p0.len();
+    // Halve exactly until Λτ <= 1.
+    let (mut m, mut squarings, mut scale) = (lt, 0u32, 1.0f64);
+    while m > 1.0 {
+        m *= 0.5;
+        scale *= 2.0;
+        squarings += 1;
+    }
+    let (weights, tail) = small_mean_weights(m, opts.epsilon / scale, opts.max_terms)?;
+    let kmax = weights.len() - 1;
+
+    // E = Σ_k w_k Pᵏ by Horner's rule on the sparse P.
+    let mut e = DenseMatrix::zeros(n, n);
+    let mut scratch = DenseMatrix::zeros(n, n);
+    for i in 0..n {
+        e[(i, i)] = weights[kmax];
+    }
+    for &w in weights[..kmax].iter().rev() {
+        uni.dtmc.mul_dense_into(&e, &mut scratch);
+        std::mem::swap(&mut e, &mut scratch);
+        for i in 0..n {
+            e[(i, i)] += w;
         }
     }
-    let point = dot(&point_acc, &rewards);
-    let cumulative: f64 = cum_acc.iter().zip(&rewards).map(|(c, r)| c * r).sum::<f64>() / uni.rate;
-    let interval = cumulative / t;
+    // v = (1/Λ) Σ_k W_k Pᵏ r with W_k = Σ_{j>k} w_j, also by Horner.
+    let mut cum_weights = vec![0.0; kmax + 1];
+    for k in (0..kmax).rev() {
+        cum_weights[k] = cum_weights[k + 1] + weights[k + 1];
+    }
+    let mut v = vec![0.0; n];
+    let mut next = vec![0.0; n];
+    for &c in cum_weights[..kmax].iter().rev() {
+        uni.dtmc.mul_vec_into(&v, &mut next);
+        for (x, (p, r)) in v.iter_mut().zip(next.iter().zip(rewards)) {
+            *x = p + c * r;
+        }
+    }
+    for x in &mut v {
+        *x /= uni.rate;
+    }
 
-    Ok(TransientSolution {
-        time: t,
-        probabilities: point_acc,
-        point_reward: point,
-        interval_reward: interval.clamp(0.0, rewards.iter().cloned().fold(0.0, f64::max)),
-        truncation,
+    // One trace step per squaring: the row-sum drift the
+    // renormalization removed.
+    let mut trace = rascad_obs::trace::begin("transient", "row_drift", n);
+    for j in 1..=squarings {
+        let ev = e.mul_vec(&v);
+        for (x, d) in v.iter_mut().zip(&ev) {
+            *x += d;
+        }
+        e.mul_into(&e, &mut scratch);
+        std::mem::swap(&mut e, &mut scratch);
+        let mut drift = 0.0f64;
+        for i in 0..n {
+            let row = e.row_mut(i);
+            let sum: f64 = row.iter().sum();
+            drift = drift.max((sum - 1.0).abs());
+            for x in row.iter_mut() {
+                *x /= sum;
+            }
+        }
+        trace.step(j as usize, drift);
+    }
+    trace.finish("done");
+    span.record("kmax", kmax);
+    span.record("squarings", squarings);
+    rascad_obs::record_value("markov.transient.kmax", kmax as f64);
+    rascad_obs::counter("markov.transient.vec_mul_steps", kmax as u64);
+    rascad_obs::counter("markov.transient.squarings", u64::from(squarings));
+
+    Ok(KernelRun {
+        probabilities: e.vec_mul(p0),
+        cumulative: dot(p0, &v),
+        truncation: tail * scale,
     })
 }
 
@@ -347,6 +568,7 @@ pub fn solve_grid(
                 point_reward: point,
                 interval_reward: interval,
                 truncation,
+                kernel: TransientKernel::Series,
             }
         })
         .collect())
@@ -423,6 +645,33 @@ fn poisson_weights_into(
         }
     }
     Ok(out.len() - start)
+}
+
+/// Poisson pmf `w_0..=w_K` for a mean `m <= 1`, truncated at the first
+/// `K` whose tail bound is at most `epsilon`; returns the weights and
+/// that bound. For `j > K` the ratio `w_{j+1}/w_j = m/(j+1)` is at most
+/// `m/(K+2) <= 1/2`, so `Σ_{j>K} w_j <= w_{K+1} / (1 - m/(K+2))` — a
+/// true bound, computed without the cancellation of `1 - Σ w_k`.
+fn small_mean_weights(
+    m: f64,
+    epsilon: f64,
+    max_terms: usize,
+) -> Result<(Vec<f64>, f64), MarkovError> {
+    let mut w = vec![(-m).exp()];
+    loop {
+        let k = w.len();
+        let next = w[k - 1] * m / k as f64;
+        let tail = next / (1.0 - m / (k + 1) as f64);
+        if tail <= epsilon {
+            return Ok((w, tail));
+        }
+        if k > max_terms {
+            return Err(MarkovError::InvalidOption {
+                what: format!("poisson series for m={m} exceeded {max_terms} terms"),
+            });
+        }
+        w.push(next);
+    }
 }
 
 fn check_distribution(p: &[f64], n: usize) -> Result<(), MarkovError> {
@@ -619,5 +868,137 @@ mod tests {
             let s: f64 = w.iter().sum();
             assert!((s - 1.0).abs() < 1e-9, "m={m}, sum={s}");
         }
+    }
+
+    fn p0_at(n: usize, i: usize) -> Vec<f64> {
+        let mut p0 = vec![0.0; n];
+        p0[i] = 1.0;
+        p0
+    }
+
+    #[test]
+    fn doubling_matches_two_state_closed_form_at_mission_horizons() {
+        let l = 1e-4;
+        for mu in [0.2, 50.0] {
+            let c = two_state(l, mu);
+            for t in [720.0, 8760.0] {
+                let sol = solve(&c, &[1.0, 0.0], t, TransientOptions::default()).unwrap();
+                assert_eq!(sol.kernel, TransientKernel::Doubling, "mu={mu} t={t}");
+                assert_eq!(kernel_for(&c, t), sol.kernel);
+                let (point, interval) = (a_point(l, mu, t), a_interval(l, mu, t));
+                assert!((sol.point_reward - point).abs() < 1e-13, "mu={mu} t={t}: {sol:?}");
+                assert!((sol.interval_reward - interval).abs() < 1e-13, "mu={mu} t={t}: {sol:?}");
+                assert!(sol.truncation <= TransientOptions::default().epsilon);
+            }
+        }
+    }
+
+    /// `N` independent units, each failing at `lambda` and repaired at
+    /// `mu` with no repair-crew limit (no time to mobilize): the count
+    /// of failed units is a birth–death chain, and the system is up
+    /// while at most `N − K` have failed.
+    fn independent_units(n: usize, k: usize, lambda: f64, mu: f64) -> Ctmc {
+        let mut b = CtmcBuilder::new();
+        for failed in 0..=n {
+            b.add_state(format!("F{failed}"), if failed <= n - k { 1.0 } else { 0.0 });
+        }
+        for failed in 0..n {
+            b.add_transition(failed, failed + 1, (n - failed) as f64 * lambda);
+            b.add_transition(failed + 1, failed, (failed + 1) as f64 * mu);
+        }
+        b.build().unwrap()
+    }
+
+    /// `P[Binomial(n, q) <= m]`, summed term by term.
+    fn binomial_cdf(n: usize, q: f64, m: usize) -> f64 {
+        let mut pmf = (1.0 - q).powi(n as i32);
+        let mut cdf = pmf;
+        for j in 1..=m {
+            pmf *= (n - j + 1) as f64 / j as f64 * q / (1.0 - q);
+            cdf += pmf;
+        }
+        cdf
+    }
+
+    #[test]
+    fn doubling_matches_the_binomial_on_independent_units() {
+        let (lambda, mu) = (1e-3, 0.25);
+        for n in [12, 40] {
+            for k in [n / 2, n - 2] {
+                let c = independent_units(n, k, lambda, mu);
+                for t in [2.0, 100.0, 720.0, 8760.0] {
+                    let opts = TransientOptions::default();
+                    let sol = solve_with(&c, &p0_at(n + 1, 0), t, opts, TransientKernel::Doubling)
+                        .unwrap();
+                    let q = lambda / (lambda + mu) * (1.0 - (-(lambda + mu) * t).exp());
+                    let want = binomial_cdf(n, q, n - k);
+                    assert!(
+                        (sol.point_reward - want).abs() < 1e-12,
+                        "n={n} k={k} t={t}: {} vs {want}",
+                        sol.point_reward
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_agree_and_selection_follows_size_and_horizon() {
+        let c = independent_units(40, 30, 1e-3, 0.25);
+        let p0 = p0_at(41, 0);
+        for t in [50.0, 720.0, 8760.0] {
+            let opts = TransientOptions::default();
+            let d = solve_with(&c, &p0, t, opts, TransientKernel::Doubling).unwrap();
+            let s = solve_with(&c, &p0, t, opts, TransientKernel::Series).unwrap();
+            assert_eq!((d.kernel, s.kernel), (TransientKernel::Doubling, TransientKernel::Series));
+            assert!((d.point_reward - s.point_reward).abs() < 1e-11, "t={t}");
+            assert!((d.interval_reward - s.interval_reward).abs() < 1e-11, "t={t}");
+            for (a, b) in d.probabilities.iter().zip(&s.probabilities) {
+                assert!((a - b).abs() < 1e-11, "t={t}");
+            }
+        }
+        // A short horizon keeps the series: its few terms cost less
+        // than the dense steps doubling would take.
+        let short = solve(&c, &p0, 1e-3, TransientOptions::default()).unwrap();
+        assert_eq!(short.kernel, TransientKernel::Series);
+        assert_eq!(kernel_for(&c, 1e-3), short.kernel);
+        // Past the size limit the series runs even at long horizons.
+        let n = DOUBLING_MAX_STATES;
+        let big = independent_units(n, n / 2, 1e-3, 0.25);
+        let sol = solve(&big, &p0_at(n + 1, 0), 8760.0, TransientOptions::default()).unwrap();
+        assert_eq!(sol.kernel, TransientKernel::Series);
+    }
+
+    #[test]
+    fn doubling_truncation_is_a_bound_within_epsilon() {
+        let c = independent_units(12, 6, 1e-3, 0.25);
+        for epsilon in [1e-6, 1e-9, 1e-12] {
+            let opts = TransientOptions { epsilon, ..Default::default() };
+            let sol = solve(&c, &p0_at(13, 0), 8760.0, opts).unwrap();
+            assert_eq!(sol.kernel, TransientKernel::Doubling);
+            assert!(sol.truncation > 0.0 && sol.truncation <= epsilon, "{epsilon}: {sol:?}");
+        }
+        // An absorbing chain keeps its lost mass where it belongs.
+        let mut b = CtmcBuilder::new();
+        b.add_state("up", 1.0);
+        b.add_state("down", 0.0);
+        b.add_transition(0, 1, 1e-3);
+        let c = b.build().unwrap();
+        let opts = TransientOptions::default();
+        let sol = solve_with(&c, &[1.0, 0.0], 8760.0, opts, TransientKernel::Doubling).unwrap();
+        assert!((sol.point_reward - (-8.76f64).exp()).abs() < 1e-13, "{sol:?}");
+        let interval = (1.0 - (-8.76f64).exp()) / 8.76;
+        assert!((sol.interval_reward - interval).abs() < 1e-13, "{sol:?}");
+    }
+
+    #[test]
+    fn doubling_rejects_what_the_series_rejects() {
+        let c = two_state(0.1, 0.9);
+        let d = TransientKernel::Doubling;
+        let opts = TransientOptions::default();
+        assert!(solve_with(&c, &[0.5, 0.4], 1.0, opts, d).is_err());
+        assert!(solve_with(&c, &[1.0, 0.0], f64::NAN, opts, d).is_err());
+        let bad = TransientOptions { epsilon: 1.0, ..Default::default() };
+        assert!(solve_with(&c, &[1.0, 0.0], 1.0, bad, d).is_err());
     }
 }

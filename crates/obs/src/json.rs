@@ -314,7 +314,7 @@ impl std::error::Error for JsonError {}
 ///
 /// Returns [`JsonError`] with the byte offset of the first problem.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -325,6 +325,7 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -484,13 +485,16 @@ impl<'a> Parser<'a> {
                     return Err(self.err("unescaped control character in string"));
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one go. Those bytes are ASCII, so
+                    // the run ends on a char boundary of the input.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -592,6 +596,43 @@ mod tests {
         assert_eq!(parse("\"\\ud800\\udf48\"").unwrap(), Value::Str("\u{10348}".into()));
         assert!(parse("\"\\ud800\"").is_err());
         assert!(parse("\"\\ud800x\"").is_err());
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes_and_surrogates() {
+        let text = "\"é✓\\n日本\\ud83d\\ude00€\\\"x\\u00e9ü\\t\u{1F600}\"";
+        let want = "é✓\n日本\u{1F600}€\"xéü\t\u{1F600}";
+        assert_eq!(parse(text).unwrap(), Value::Str(want.into()));
+        let doc = format!("{{\"k✓\":[{text},\"\",\"a\"]}}");
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get("k✓").unwrap().as_array().unwrap()[0].as_str(), Some(want));
+    }
+
+    #[test]
+    fn control_byte_rejected_at_its_offset() {
+        // Quote at 0, `ab` at 1-2, `✓` at 3-5, the control byte at 6.
+        let e = parse("\"ab✓\u{1}c\"").unwrap_err();
+        assert_eq!((e.offset, e.message.as_str()), (6, "unescaped control character in string"));
+        let e = parse("[\"é\\n\u{1f}\"]").unwrap_err();
+        assert_eq!((e.offset, e.message.as_str()), (6, "unescaped control character in string"));
+        let e = parse("\"abc✓").unwrap_err();
+        assert_eq!((e.offset, e.message.as_str()), (7, "unterminated string"));
+    }
+
+    #[test]
+    fn mebibyte_mixed_body_roundtrips() {
+        let piece = "diagram \"Shop\" {\n\tblock \"Wéb ✓\" { mtbf = 5e4 h }\u{1}\u{1F600}\\ }\r";
+        let mut s = String::new();
+        while s.len() < 1 << 20 {
+            s.push_str(piece);
+        }
+        let v = Value::Obj(vec![
+            ("tenant".into(), Value::Str("t✓".into())),
+            ("spec".into(), Value::Str(s)),
+        ]);
+        let text = v.to_string_compact();
+        assert!(text.len() > 1 << 20);
+        assert_eq!(parse(&text).unwrap(), v);
     }
 
     #[test]

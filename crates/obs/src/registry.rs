@@ -212,19 +212,25 @@ pub const CATALOG: &[MetricDesc] = &[
         name: "markov.transient.grid_solves",
         kind: MetricKind::Counter,
         labels: &[],
-        help: "Transient grid evaluations (uniformization)",
+        help: "Transient grid evaluations (one shared Poisson series)",
     },
     MetricDesc {
         name: "markov.transient.kmax",
         kind: MetricKind::Histogram,
         labels: &[],
-        help: "Uniformization truncation depth per transient solve",
+        help: "Poisson series terms per transient solve (under doubling, its short tau-series)",
     },
     MetricDesc {
         name: "markov.transient.solves",
         kind: MetricKind::Counter,
         labels: &[],
-        help: "Point transient solves (uniformization)",
+        help: "Point transient solves (series or doubling kernel)",
+    },
+    MetricDesc {
+        name: "markov.transient.squarings",
+        kind: MetricKind::Counter,
+        labels: &[],
+        help: "Dense squarings spent by the transient doubling kernel",
     },
     MetricDesc {
         name: "markov.transient.truncation",
@@ -236,7 +242,7 @@ pub const CATALOG: &[MetricDesc] = &[
         name: "markov.transient.vec_mul_steps",
         kind: MetricKind::Counter,
         labels: &[],
-        help: "Matrix-vector products spent in transient solves",
+        help: "Sparse matrix-vector products spent in transient solves",
     },
     MetricDesc {
         name: "rbd.evaluations",

@@ -301,6 +301,9 @@ fn every_emitted_series_matches_its_catalog_entry() {
     }
 
     let snap = rascad_obs::MetricsRegistry::global().snapshot();
+    // The spec's small blocks take the transient doubling kernel, so
+    // its counter is among the series checked below.
+    assert!(snap.counter_total("markov.transient.squarings").is_some_and(|n| n > 0));
     let emitted = snap
         .counters
         .iter()

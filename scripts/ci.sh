@@ -24,6 +24,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings \
 echo "==> cargo test --workspace"
 cargo test --workspace --offline -q
 
+# The benchmark is a package of its own outside the workspace; build
+# and test it here so a change to an API it calls (transient::solve,
+# absorbing::mttf, reliability_curve) fails CI, not the benchmark build.
+echo "==> cargo test perfbench"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 # Every bundled spec and library model must lint clean through Tier C:
 # errors and warnings block (exit 7); info-level notes (including the
 # expected RAS2xx structural findings) are allowed.
