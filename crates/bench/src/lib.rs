@@ -1,8 +1,12 @@
-//! Shared fixtures for the benchmark harness.
+//! Shared model fixtures for `rascad bench`, perfbench and the paper-claim
+//! tests.
 //!
-//! One Criterion bench per paper artifact lives in `benches/`; this
-//! library holds the model fixtures they share so benchmark and test
-//! code agree on exactly which models each experiment uses.
+//! The reference blocks here are the models the paper's experiments use
+//! (the Figure 3 Type 0 block, the Figure 4 Type 3 block, and the
+//! parameterized Type 1–4 blocks). [`workloads`] builds the `rascad
+//! bench` stages from them, and `tests/paper_claims.rs` asserts the
+//! paper's claims on them, so the timings and the checks measure the
+//! same models.
 
 use rascad_spec::units::{Fit, Hours, Minutes};
 use rascad_spec::{BlockParams, GlobalParams, RedundancyParams, Scenario};

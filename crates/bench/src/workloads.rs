@@ -2,7 +2,7 @@
 //!
 //! The CLI benchmark harness and its tests must agree on exactly which
 //! models each stage exercises, so the fixtures live here next to the
-//! Criterion fixtures. Everything is deterministic: fixed specs, fixed
+//! reference blocks. Everything is deterministic: fixed specs, fixed
 //! seeds, fixed grids.
 
 use rascad_markov::{Ctmc, CtmcBuilder};

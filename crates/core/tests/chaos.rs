@@ -44,6 +44,7 @@ fn surviving_blocks_match(degraded: &SystemSolution, clean: &SystemSolution) {
 }
 
 #[test]
+#[allow(clippy::float_cmp)] // exact equality asserts deterministic arithmetic
 fn panic_is_isolated_typed_and_rolls_up_best_effort() {
     let _l = lock();
     let s = spec();

@@ -1,141 +1,171 @@
-//! Property-based tests; compiled only with the `proptest-tests`
-//! feature, which requires the real `proptest` crate (the offline
-//! build vendors an empty placeholder — see vendor/README.md).
-#![cfg(feature = "proptest-tests")]
+//! Randomized property tests for the Markov substrate.
+//!
+//! Each property runs over `CASES` inputs drawn from a seeded
+//! `StdRng`, so every run checks the same cases and a failure names the
+//! seed that reproduces it.
 
-//! Property-based tests for the Markov substrate.
-
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rascad_markov::transient::{self, TransientOptions};
 use rascad_markov::{Ctmc, CtmcBuilder, SteadyStateMethod};
 
-/// Builds a random irreducible chain: a ring (guaranteeing
-/// irreducibility) plus arbitrary extra edges.
-fn arb_chain() -> impl Strategy<Value = Ctmc> {
-    (2usize..8).prop_flat_map(|n| {
-        let ring = proptest::collection::vec(1e-3..10.0f64, n);
-        let extra = proptest::collection::vec((0..n, 0..n, 1e-3..10.0f64), 0..12);
-        let rewards = proptest::collection::vec(prop_oneof![Just(0.0), Just(1.0)], n);
-        (Just(n), ring, extra, rewards).prop_map(|(n, ring, extra, rewards)| {
-            let mut b = CtmcBuilder::new();
-            for (i, r) in rewards.iter().enumerate() {
-                b.add_state(format!("s{i}"), *r);
-            }
-            for (i, &rate) in ring.iter().enumerate() {
-                b.add_transition(i, (i + 1) % n, rate);
-            }
-            for &(f, t, rate) in &extra {
-                if f != t {
-                    b.add_transition(f, t, rate);
-                }
-            }
-            b.build().expect("constructed chain is valid")
-        })
-    })
+const CASES: u64 = 256;
+/// Case count of the last four properties.
+const FEW_CASES: u64 = 64;
+
+/// Uniform draw from `[lo, hi)`.
+fn uniform(rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
+    lo + (hi - lo) * rng.gen::<f64>()
 }
 
-proptest! {
-    /// The stationary vector is a distribution and satisfies pi*Q = 0.
-    #[test]
-    fn stationary_solves_balance_equations(chain in arb_chain()) {
+/// Builds a random irreducible chain of 2–7 states: a ring
+/// (guaranteeing irreducibility) plus up to 11 arbitrary extra edges.
+fn arb_chain(rng: &mut StdRng) -> Ctmc {
+    let n = 2 + (rng.gen::<u64>() % 6) as usize;
+    let mut b = CtmcBuilder::new();
+    for i in 0..n {
+        b.add_state(format!("s{i}"), if rng.gen::<bool>() { 1.0 } else { 0.0 });
+    }
+    for i in 0..n {
+        b.add_transition(i, (i + 1) % n, uniform(rng, 1e-3, 10.0));
+    }
+    for _ in 0..rng.gen::<u64>() % 12 {
+        let f = (rng.gen::<u64>() % n as u64) as usize;
+        let t = (rng.gen::<u64>() % n as u64) as usize;
+        let rate = uniform(rng, 1e-3, 10.0);
+        if f != t {
+            b.add_transition(f, t, rate);
+        }
+    }
+    b.build().expect("constructed chain is valid")
+}
+
+/// The stationary vector is a distribution and satisfies pi*Q = 0.
+#[test]
+fn stationary_solves_balance_equations() {
+    for seed in 0..CASES {
+        let chain = arb_chain(&mut StdRng::seed_from_u64(seed));
         let pi = chain.steady_state(SteadyStateMethod::Gth).unwrap();
         let sum: f64 = pi.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-10);
+        assert!((sum - 1.0).abs() < 1e-10, "seed {seed}: sum {sum}");
         for &p in &pi {
-            prop_assert!((-1e-12..=1.0 + 1e-12).contains(&p));
+            assert!((-1e-12..=1.0 + 1e-12).contains(&p), "seed {seed}: p {p}");
         }
         let residual = chain.generator().vec_mul(&pi);
         for r in residual {
-            prop_assert!(r.abs() < 1e-9, "residual {r}");
+            assert!(r.abs() < 1e-9, "seed {seed}: residual {r}");
         }
     }
+}
 
-    /// GTH and LU agree to high precision.
-    #[test]
-    fn gth_and_lu_agree(chain in arb_chain()) {
+/// GTH and LU agree to high precision.
+#[test]
+fn gth_and_lu_agree() {
+    for seed in 0..CASES {
+        let chain = arb_chain(&mut StdRng::seed_from_u64(seed));
         let g = chain.steady_state(SteadyStateMethod::Gth).unwrap();
         let l = chain.steady_state(SteadyStateMethod::Lu).unwrap();
         for (a, b) in g.iter().zip(&l) {
-            prop_assert!((a - b).abs() < 1e-8, "{a} vs {b}");
+            assert!((a - b).abs() < 1e-8, "seed {seed}: {a} vs {b}");
         }
     }
+}
 
-    /// Transient probabilities stay a distribution and converge to the
-    /// stationary distribution for large t.
-    #[test]
-    fn transient_is_distribution_and_converges(chain in arb_chain(), t in 0.0..20.0f64) {
+/// Transient probabilities stay a distribution and converge to the
+/// stationary distribution for large t.
+#[test]
+fn transient_is_distribution_and_converges() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let chain = arb_chain(&mut rng);
+        let t = uniform(&mut rng, 0.0, 20.0);
         let n = chain.len();
         let mut p0 = vec![0.0; n];
         p0[0] = 1.0;
         let sol = transient::solve(&chain, &p0, t, TransientOptions::default()).unwrap();
         let sum: f64 = sol.probabilities.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-9);
-        prop_assert!(sol.point_reward >= -1e-12 && sol.point_reward <= 1.0 + 1e-12);
-        prop_assert!(sol.interval_reward >= -1e-12 && sol.interval_reward <= 1.0 + 1e-12);
+        assert!((sum - 1.0).abs() < 1e-9, "seed {seed}: sum {sum}");
+        assert!(
+            sol.point_reward >= -1e-12 && sol.point_reward <= 1.0 + 1e-12,
+            "seed {seed}: point {}",
+            sol.point_reward
+        );
+        assert!(
+            sol.interval_reward >= -1e-12 && sol.interval_reward <= 1.0 + 1e-12,
+            "seed {seed}: interval {}",
+            sol.interval_reward
+        );
 
         // Long-run convergence.
         let pi = chain.steady_state(SteadyStateMethod::Gth).unwrap();
         let far = transient::solve(&chain, &p0, 5000.0, TransientOptions::default()).unwrap();
         for (a, b) in far.probabilities.iter().zip(&pi) {
-            prop_assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+            assert!((a - b).abs() < 1e-6, "seed {seed}: {a} vs {b}");
         }
-    }
-
-    /// Availability equals 1 minus the stationary mass of down states.
-    #[test]
-    fn availability_complement(chain in arb_chain()) {
-        let pi = chain.steady_state(SteadyStateMethod::Gth).unwrap();
-        let a = chain.expected_reward(&pi);
-        let down: f64 = chain.down_states().iter().map(|&s| pi[s]).sum();
-        prop_assert!((a + down - 1.0).abs() < 1e-10);
-    }
-
-    /// Failure flow equals recovery flow in steady state.
-    #[test]
-    fn flows_balance(chain in arb_chain()) {
-        let pi = chain.steady_state(SteadyStateMethod::Gth).unwrap();
-        let f = chain.failure_rate(&pi);
-        let r = chain.recovery_rate(&pi);
-        prop_assert!((f - r).abs() < 1e-9 * (1.0 + f.abs()), "{f} vs {r}");
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Availability equals 1 minus the stationary mass of down states.
+#[test]
+fn availability_complement() {
+    for seed in 0..CASES {
+        let chain = arb_chain(&mut StdRng::seed_from_u64(seed));
+        let pi = chain.steady_state(SteadyStateMethod::Gth).unwrap();
+        let a = chain.expected_reward(&pi);
+        let down: f64 = chain.down_states().iter().map(|&s| pi[s]).sum();
+        assert!((a + down - 1.0).abs() < 1e-10, "seed {seed}: {a} + {down}");
+    }
+}
 
-    /// Uniformized DTMC rows sum to one.
-    #[test]
-    fn uniformized_rows_sum_to_one(chain in arb_chain()) {
+/// Failure flow equals recovery flow in steady state.
+#[test]
+fn flows_balance() {
+    for seed in 0..CASES {
+        let chain = arb_chain(&mut StdRng::seed_from_u64(seed));
+        let pi = chain.steady_state(SteadyStateMethod::Gth).unwrap();
+        let f = chain.failure_rate(&pi);
+        let r = chain.recovery_rate(&pi);
+        assert!((f - r).abs() < 1e-9 * (1.0 + f.abs()), "seed {seed}: {f} vs {r}");
+    }
+}
+
+/// Uniformized DTMC rows sum to one.
+#[test]
+fn uniformized_rows_sum_to_one() {
+    for seed in 0..FEW_CASES {
+        let chain = arb_chain(&mut StdRng::seed_from_u64(seed));
         let uni = transient::uniformize(&chain);
         for s in uni.dtmc.row_sums() {
-            prop_assert!((s - 1.0).abs() < 1e-12);
+            assert!((s - 1.0).abs() < 1e-12, "seed {seed}: row sum {s}");
         }
     }
+}
 
-    /// Power iteration agrees with GTH on every random chain.
-    #[test]
-    fn power_iteration_agrees_with_gth(chain in arb_chain()) {
+/// Power iteration agrees with GTH on every random chain.
+#[test]
+fn power_iteration_agrees_with_gth() {
+    for seed in 0..FEW_CASES {
+        let chain = arb_chain(&mut StdRng::seed_from_u64(seed));
         let gth = chain.steady_state(SteadyStateMethod::Gth).unwrap();
         let pow = chain.steady_state(SteadyStateMethod::Power).unwrap();
         for (a, b) in gth.iter().zip(&pow) {
-            prop_assert!((a - b).abs() < 1e-8, "{a} vs {b}");
+            assert!((a - b).abs() < 1e-8, "seed {seed}: {a} vs {b}");
         }
     }
+}
 
-    /// DTMC stationary vectors are distributions satisfying pi P = pi.
-    #[test]
-    fn dtmc_stationary_is_fixed_point(
-        rows in proptest::collection::vec(
-            proptest::collection::vec(0.05..1.0f64, 3),
-            3,
-        )
-    ) {
-        use rascad_markov::DtmcBuilder;
+/// DTMC stationary vectors are distributions satisfying pi P = pi.
+#[test]
+fn dtmc_stationary_is_fixed_point() {
+    use rascad_markov::DtmcBuilder;
+    for seed in 0..FEW_CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut b = DtmcBuilder::new();
         for i in 0..3 {
             b.add_state(format!("s{i}"));
         }
-        for (i, row) in rows.iter().enumerate() {
+        for i in 0..3 {
+            let row: Vec<f64> = (0..3).map(|_| uniform(&mut rng, 0.05, 1.0)).collect();
             let z: f64 = row.iter().sum();
             for (j, &w) in row.iter().enumerate() {
                 b.add_transition(i, j, w / z);
@@ -144,34 +174,37 @@ proptest! {
         let c = b.build().unwrap();
         let pi = c.stationary().unwrap();
         let sum: f64 = pi.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-10);
+        assert!((sum - 1.0).abs() < 1e-10, "seed {seed}: sum {sum}");
         // pi P = pi.
         for j in 0..3 {
             let flow: f64 = (0..3).map(|i| pi[i] * c.probability(i, j)).sum();
-            prop_assert!((flow - pi[j]).abs() < 1e-9);
+            assert!((flow - pi[j]).abs() < 1e-9, "seed {seed}: {flow} vs {}", pi[j]);
         }
     }
+}
 
-    /// Erlang phase expansion of a random semi-Markov process preserves
-    /// steady-state availability exactly.
-    #[test]
-    fn erlang_expansion_preserves_availability(
-        rates in proptest::collection::vec(0.01..10.0f64, 2..5),
-        dets in proptest::collection::vec(0.1..10.0f64, 2..5),
-        phases in 1u32..12,
-    ) {
-        use rascad_markov::{SemiMarkovBuilder, SojournDistribution};
+/// Erlang phase expansion of a random semi-Markov process preserves
+/// steady-state availability exactly.
+#[test]
+fn erlang_expansion_preserves_availability() {
+    use rascad_markov::{SemiMarkovBuilder, SojournDistribution};
+    for seed in 0..FEW_CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rates: Vec<f64> =
+            (0..2 + rng.gen::<u64>() % 3).map(|_| uniform(&mut rng, 0.01, 10.0)).collect();
+        let dets: Vec<f64> =
+            (0..2 + rng.gen::<u64>() % 3).map(|_| uniform(&mut rng, 0.1, 10.0)).collect();
+        let phases = 1 + rng.gen::<u32>() % 11;
         let n = rates.len().min(dets.len());
-        prop_assume!(n >= 2);
         let mut b = SemiMarkovBuilder::new();
         for i in 0..n {
-            // Alternate exponential and deterministic sojourns.
-            let sojourn = if i % 2 == 0 {
-                SojournDistribution::Exponential { rate: rates[i] }
+            // Alternate exponential (down) and deterministic (up) sojourns.
+            let (reward, sojourn) = if i % 2 == 0 {
+                (0.0, SojournDistribution::Exponential { rate: rates[i] })
             } else {
-                SojournDistribution::Deterministic { value: dets[i] }
+                (1.0, SojournDistribution::Deterministic { value: dets[i] })
             };
-            b.add_state(format!("s{i}"), (i % 2) as f64, sojourn);
+            b.add_state(format!("s{i}"), reward, sojourn);
         }
         for i in 0..n {
             b.add_jump(i, (i + 1) % n, 1.0);
@@ -181,6 +214,6 @@ proptest! {
         let ctmc = smp.to_ctmc_erlang(phases).unwrap();
         let pi = ctmc.steady_state(SteadyStateMethod::Gth).unwrap();
         let got = ctmc.expected_reward(&pi);
-        prop_assert!((got - expect).abs() < 1e-10, "{got} vs {expect}");
+        assert!((got - expect).abs() < 1e-10, "seed {seed}: {got} vs {expect}");
     }
 }

@@ -1,31 +1,22 @@
-//! Property-based tests; compiled only with the `proptest-tests`
-//! feature, which requires the real `proptest` crate (the offline
-//! build vendors an empty placeholder — see vendor/README.md).
-#![cfg(feature = "proptest-tests")]
+//! Randomized property tests for the RBD substrate.
+//!
+//! Each property runs over `CASES` inputs drawn from a seeded
+//! `StdRng`, so every run checks the same cases and a failure names the
+//! seed that reproduces it.
 
-//! Property-based tests for the RBD substrate.
-
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rascad_rbd::importance::fussell_vesely;
 use rascad_rbd::paths::{esary_proschan_bounds, minimal_cut_sets, minimal_path_sets};
 use rascad_rbd::structure;
 use rascad_rbd::{ComponentTable, Network, Rbd};
 
-/// Random RBD tree over `n` distinct components (each used exactly once,
-/// so independent evaluation is exact).
-fn arb_rbd(depth: u32) -> impl Strategy<Value = (ComponentTable, Rbd)> {
-    proptest::collection::vec(0.01..0.999f64, 2..7).prop_flat_map(move |avails| {
-        let n = avails.len();
-        let mut table = ComponentTable::new();
-        for (i, a) in avails.iter().enumerate() {
-            table.add(format!("c{i}"), *a);
-        }
-        arb_tree(n, depth).prop_map(move |tree| (table.clone(), tree))
-    })
-}
+const CASES: u64 = 256;
 
-fn arb_tree(n: usize, depth: u32) -> BoxedStrategy<Rbd> {
-    // Partition component ids 0..n into a random tree.
+/// Random RBD tree over 2–6 distinct components (each used exactly
+/// once, so independent evaluation is exact), at most three levels deep.
+fn arb_rbd(seed: u64) -> (ComponentTable, Rbd) {
+    // Partition component ids into a random tree.
     fn build(ids: Vec<usize>, depth: u32, rng_seed: u64) -> Rbd {
         if ids.len() == 1 || depth == 0 {
             return if ids.len() == 1 {
@@ -50,37 +41,49 @@ fn arb_tree(n: usize, depth: u32) -> BoxedStrategy<Rbd> {
             _ => Rbd::k_of_n(1, vec![l, r]),
         }
     }
-    (any::<u64>()).prop_map(move |seed| build((0..n).collect(), depth, seed)).boxed()
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = 2 + (rng.gen::<u64>() % 5) as usize;
+    let mut table = ComponentTable::new();
+    for i in 0..n {
+        table.add(format!("c{i}"), 0.01 + 0.989 * rng.gen::<f64>());
+    }
+    (table, build((0..n).collect(), 3, rng.gen()))
 }
 
-proptest! {
-    /// Availability is always a probability.
-    #[test]
-    fn availability_in_unit_interval((table, rbd) in arb_rbd(3)) {
+/// Availability is always a probability.
+#[test]
+fn availability_in_unit_interval() {
+    for seed in 0..CASES {
+        let (table, rbd) = arb_rbd(seed);
         let a = rbd.availability(&table).unwrap();
-        prop_assert!((0.0..=1.0).contains(&a), "a={a}");
+        assert!((0.0..=1.0).contains(&a), "seed {seed}: a={a}");
     }
+}
 
-    /// Improving any component never lowers system availability
-    /// (monotone coherent structure).
-    #[test]
-    fn availability_monotone_in_components((table, rbd) in arb_rbd(3)) {
+/// Improving any component never lowers system availability
+/// (monotone coherent structure).
+#[test]
+fn availability_monotone_in_components() {
+    for seed in 0..CASES {
+        let (table, rbd) = arb_rbd(seed);
         let base = rbd.availability(&table).unwrap();
         for id in rbd.components() {
             let mut t = table.clone();
             let a = t.availability(id).unwrap();
             t.set_availability(id, (a + 0.1).min(1.0)).unwrap();
             let improved = rbd.availability(&t).unwrap();
-            prop_assert!(improved >= base - 1e-12);
+            assert!(improved >= base - 1e-12, "seed {seed}: c{id} {base} -> {improved}");
         }
     }
+}
 
-    /// Exact evaluation agrees with exhaustive expectation over the
-    /// structure function.
-    #[test]
-    fn shannon_matches_enumeration((table, rbd) in arb_rbd(3)) {
+/// Exact evaluation agrees with exhaustive expectation over the
+/// structure function (at most 6 components, so 64 terms).
+#[test]
+fn shannon_matches_enumeration() {
+    for seed in 0..CASES {
+        let (table, rbd) = arb_rbd(seed);
         let comps = rbd.components();
-        prop_assume!(comps.len() <= 8);
         let avail = table.availabilities();
         let mut expect = 0.0;
         for mask in 0u32..(1 << comps.len()) {
@@ -96,57 +99,74 @@ proptest! {
             }
         }
         let a = rbd.availability(&table).unwrap();
-        prop_assert!((a - expect).abs() < 1e-10, "{a} vs {expect}");
+        assert!((a - expect).abs() < 1e-10, "seed {seed}: {a} vs {expect}");
     }
+}
 
-    /// The structure function is monotone and the diagram coherent.
-    #[test]
-    fn structure_is_monotone((table, rbd) in arb_rbd(3)) {
+/// The structure function is monotone and the diagram coherent.
+#[test]
+fn structure_is_monotone() {
+    for seed in 0..CASES {
+        let (table, rbd) = arb_rbd(seed);
         let (monotone, _) = structure::coherence(&rbd, &table).unwrap();
-        prop_assert!(monotone);
+        assert!(monotone, "seed {seed}");
     }
+}
 
-    /// Esary-Proschan bounds bracket the exact availability.
-    #[test]
-    fn bounds_bracket_exact((table, rbd) in arb_rbd(3)) {
+/// Esary-Proschan bounds bracket the exact availability.
+#[test]
+fn bounds_bracket_exact() {
+    for seed in 0..CASES {
+        let (table, rbd) = arb_rbd(seed);
         let exact = rbd.availability(&table).unwrap();
         let paths = minimal_path_sets(&rbd);
         let cuts = minimal_cut_sets(&rbd);
-        prop_assume!(!paths.is_empty() && !cuts.is_empty());
+        assert!(!paths.is_empty() && !cuts.is_empty(), "seed {seed}: no path or cut sets");
         let (lo, hi) = esary_proschan_bounds(&paths, &cuts, table.availabilities());
-        prop_assert!(lo <= exact + 1e-9, "lo={lo} exact={exact}");
-        prop_assert!(hi >= exact - 1e-9, "hi={hi} exact={exact}");
+        assert!(lo <= exact + 1e-9, "seed {seed}: lo={lo} exact={exact}");
+        assert!(hi >= exact - 1e-9, "seed {seed}: hi={hi} exact={exact}");
     }
+}
 
-    /// Network factoring equals brute-force enumeration on random small
-    /// graphs.
-    #[test]
-    fn factoring_matches_enumeration(
-        edges in proptest::collection::vec((0usize..5, 0usize..5, 0.05..0.95f64), 1..8)
-    ) {
-        let nodes = 5;
-        let mut net = Network::new(nodes, 0, nodes - 1).unwrap();
-        let mut kept = Vec::new();
-        for &(u, v, p) in &edges {
-            if u != v {
-                net.add_edge(u, v, p, "e").unwrap();
-                kept.push((u, v, p));
-            }
+/// Network factoring equals brute-force enumeration on random small
+/// graphs.
+#[test]
+fn factoring_matches_enumeration() {
+    fn find(p: &mut [usize], mut x: usize) -> usize {
+        while p[x] != x {
+            p[x] = p[p[x]];
+            x = p[x];
         }
-        prop_assume!(!kept.is_empty());
+        x
+    }
+    let nodes = 5;
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // 1–7 random edges; self-loops are dropped, and a draw with no
+        // edge left is redrawn.
+        let kept: Vec<(usize, usize, f64)> = loop {
+            let kept: Vec<_> = (0..1 + rng.gen::<u64>() % 7)
+                .map(|_| {
+                    let u = (rng.gen::<u64>() % nodes as u64) as usize;
+                    let v = (rng.gen::<u64>() % nodes as u64) as usize;
+                    (u, v, 0.05 + 0.9 * rng.gen::<f64>())
+                })
+                .filter(|&(u, v, _)| u != v)
+                .collect();
+            if !kept.is_empty() {
+                break kept;
+            }
+        };
+        let mut net = Network::new(nodes, 0, nodes - 1).unwrap();
+        for &(u, v, p) in &kept {
+            net.add_edge(u, v, p, "e").unwrap();
+        }
         let fast = net.reliability().unwrap();
 
         // Brute force over edge states.
         let mut expect = 0.0;
         for mask in 0u32..(1 << kept.len()) {
             let mut parent: Vec<usize> = (0..nodes).collect();
-            fn find(p: &mut Vec<usize>, mut x: usize) -> usize {
-                while p[x] != x {
-                    p[x] = p[p[x]];
-                    x = p[x];
-                }
-                x
-            }
             let mut pr = 1.0;
             for (i, &(u, v, p)) in kept.iter().enumerate() {
                 if mask & (1 << i) != 0 {
@@ -163,36 +183,41 @@ proptest! {
                 expect += pr;
             }
         }
-        prop_assert!((fast - expect).abs() < 1e-10, "{fast} vs {expect}");
+        assert!((fast - expect).abs() < 1e-10, "seed {seed}: {fast} vs {expect}");
     }
+}
 
-    /// Fussell-Vesely importances are probabilities and a sole series
-    /// component scores 1.
-    #[test]
-    fn fussell_vesely_in_unit_interval((table, rbd) in arb_rbd(3)) {
+/// Fussell-Vesely importances are probabilities.
+#[test]
+fn fussell_vesely_in_unit_interval() {
+    for seed in 0..CASES {
+        let (table, rbd) = arb_rbd(seed);
         let fv = fussell_vesely(&rbd, &table).unwrap();
         for &(_, v) in &fv {
-            prop_assert!((0.0..=1.0).contains(&v), "fv={v}");
+            assert!((0.0..=1.0).contains(&v), "seed {seed}: fv={v}");
         }
     }
+}
 
-    /// Every minimal path set indeed makes the system work, and every
-    /// minimal cut set fails it.
-    #[test]
-    fn path_and_cut_sets_are_sound((table, rbd) in arb_rbd(3)) {
+/// Every minimal path set indeed makes the system work, and every
+/// minimal cut set fails it.
+#[test]
+fn path_and_cut_sets_are_sound() {
+    for seed in 0..CASES {
+        let (table, rbd) = arb_rbd(seed);
         for p in minimal_path_sets(&rbd) {
             let mut states = vec![false; table.len()];
             for &id in &p {
                 states[id] = true;
             }
-            prop_assert!(structure::evaluate(&rbd, &states).unwrap());
+            assert!(structure::evaluate(&rbd, &states).unwrap(), "seed {seed}: path {p:?}");
         }
         for c in minimal_cut_sets(&rbd) {
             let mut states = vec![true; table.len()];
             for &id in &c {
                 states[id] = false;
             }
-            prop_assert!(!structure::evaluate(&rbd, &states).unwrap());
+            assert!(!structure::evaluate(&rbd, &states).unwrap(), "seed {seed}: cut {c:?}");
         }
     }
 }

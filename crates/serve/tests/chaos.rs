@@ -2,6 +2,7 @@
 //! server process, then real HTTP requests drive the injected panics,
 //! forced timeouts, and delays. Requires the `fault-inject` feature.
 
+#[allow(dead_code)] // this suite uses only part of the shared helpers
 mod common;
 
 use std::time::{Duration, Instant};

@@ -1,10 +1,10 @@
 //! Deterministic no-panic corpus for the spec front end.
 //!
-//! Unlike `fuzz_dsl.rs` (which needs the real `proptest` crate and is
-//! feature-gated off in the offline build), this suite always runs: a
-//! hand-written corpus of malformed, truncated, and garbage inputs,
-//! plus seeded mutations of the bundled `specs/` files. The contract is
-//! the same — the parser returns `Err`, it never panics.
+//! A hand-written corpus of malformed, truncated, and garbage inputs,
+//! seeded mutations of the bundled `specs/` files, and seeded random
+//! inputs (arbitrary text, DSL and JSON token soup). The contract: the
+//! parser returns `Err`, it never panics, and a parse error points at a
+//! real line and column.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -172,5 +172,89 @@ fn bundled_specs_still_parse_clean() {
     // mutation tests above would silently degrade to garbage-in tests.
     for (name, text) in bundled_specs() {
         SystemSpec::from_dsl(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+}
+
+/// Random inputs per fuzz property; a failure names the seed.
+const FUZZ_CASES: u64 = 512;
+
+/// Any non-control character: printable ASCII half the time, otherwise
+/// any Unicode scalar value.
+fn any_char(rng: &mut Lcg) -> char {
+    loop {
+        let c = if rng.below(2) == 0 {
+            char::from(b' ' + rng.below(95) as u8)
+        } else {
+            match char::from_u32(rng.below(0x11_0000) as u32) {
+                Some(c) => c,
+                None => continue,
+            }
+        };
+        if !c.is_control() {
+            return c;
+        }
+    }
+}
+
+/// Arbitrary text never panics the parser.
+#[test]
+fn parser_never_panics_on_arbitrary_input() {
+    for seed in 0..FUZZ_CASES {
+        let mut rng = Lcg(seed);
+        let input: String = (0..rng.below(65)).map(|_| any_char(&mut rng)).collect();
+        parse_both(&input).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
+}
+
+/// Arbitrary token soup built from DSL vocabulary never panics.
+#[test]
+fn parser_never_panics_on_token_soup() {
+    let tokens: Vec<&str> = "diagram block global redundancy subdiagram { } = \"x\" mtbf \
+                             quantity 3 4.5 h min transparent #c recovery"
+        .split_whitespace()
+        .collect();
+    for seed in 0..FUZZ_CASES {
+        let mut rng = Lcg(seed);
+        let input: Vec<&str> =
+            (0..rng.below(40)).map(|_| tokens[rng.below(tokens.len())]).collect();
+        parse_both(&input.join(" ")).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
+}
+
+/// JSON-ish input — the loader's own punctuation, keys and literals,
+/// mixed with arbitrary characters — never panics the JSON loader.
+#[test]
+fn json_loader_never_panics() {
+    let tokens: Vec<&str> = r#"{ } [ ] : , " "root" "blocks" "params" "subdiagram" "globals"
+                               "name" "quantity" "mtbf" "redundancy" "recovery" "transparent"
+                               1 -2.5e3 1e999 null true \u12 \"#
+        .split_whitespace()
+        .collect();
+    for seed in 0..FUZZ_CASES {
+        let mut rng = Lcg(seed);
+        let input: String = (0..rng.below(48))
+            .map(|_| match rng.below(tokens.len() + 1) {
+                i if i < tokens.len() => tokens[i].to_string(),
+                _ => any_char(&mut rng).to_string(),
+            })
+            .collect();
+        parse_both(&input).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
+}
+
+/// Every parse error carries a plausible position.
+#[test]
+fn parse_errors_have_positions() {
+    const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz{}=\" ";
+    for seed in 0..FUZZ_CASES {
+        let mut rng = Lcg(seed);
+        let input: String =
+            (0..rng.below(61)).map(|_| char::from(ALPHABET[rng.below(ALPHABET.len())])).collect();
+        if let Err(rascad_spec::SpecError::Parse { line, column, .. }) =
+            SystemSpec::from_dsl(&input)
+        {
+            assert!(line >= 1, "seed {seed}: line {line} in {input:?}");
+            assert!(column >= 1, "seed {seed}: column {column} in {input:?}");
+        }
     }
 }

@@ -13,10 +13,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy --workspace --all-targets (deny warnings + promoted pedantic lints)"
-# The three most frequent lints from the pedantic report below are
+echo "==> cargo clippy --workspace --all-targets --all-features (deny warnings + promoted pedantic lints)"
+# --all-features lints the feature-gated targets too (the fault-inject
+# chaos suites), so a gated target that cannot build fails here. The
+# three most frequent lints from the pedantic report below are
 # promoted to hard errors; the rest stay report-only.
-cargo clippy --workspace --all-targets --offline -- -D warnings \
+cargo clippy --workspace --all-targets --all-features --offline -- -D warnings \
     -D clippy::must-use-candidate \
     -D clippy::float-cmp \
     -D clippy::cast-precision-loss

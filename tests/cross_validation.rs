@@ -16,14 +16,26 @@ use rascad::library::{cluster, datacenter, e10000};
 use rascad::markov::SteadyStateMethod;
 use rascad::sim::system_sim::{simulate_system, SystemSimOptions};
 use rascad::spec::units::{Hours, Minutes};
-use rascad::spec::{BlockParams, Diagram, GlobalParams, SystemSpec};
+use rascad::spec::{BlockParams, Diagram, GlobalParams, Scenario, SystemSpec};
+use rascad_bench::{redundant_block, type0_block, type3_block};
 
 /// The paper's validation bar: relative error in yearly downtime below
 /// 0.2 %.
 const PAPER_BAR: f64 = 0.002;
 
 fn reference_specs() -> Vec<(&'static str, SystemSpec)> {
+    let single = |p| {
+        let mut d = Diagram::new("Single");
+        d.push(p);
+        SystemSpec::new(d, GlobalParams::default())
+    };
     vec![
+        ("type0-block", single(type0_block())),
+        ("type3-block", single(type3_block())),
+        (
+            "type4-n4k2",
+            single(redundant_block(4, 2, Scenario::Nontransparent, Scenario::Nontransparent)),
+        ),
         ("cluster", cluster::two_node_cluster(cluster::ClusterConfig::default())),
         ("datacenter", datacenter::data_center()),
         ("e10000", e10000::e10000()),
