@@ -31,8 +31,8 @@ pub struct BenchProfile {
     pub sim_horizon_hours: f64,
     /// Simulator replications.
     pub sim_replications: usize,
-    /// States in the large-chain sparse-solve workload (`--large`).
-    pub large_sparse_states: usize,
+    /// States in the large-chain GTH-solve workload (`--large`).
+    pub large_chain_states: usize,
 }
 
 impl BenchProfile {
@@ -48,7 +48,7 @@ impl BenchProfile {
             sweep_points: 4,
             sim_horizon_hours: 2_000.0,
             sim_replications: 2,
-            large_sparse_states: 10_000,
+            large_chain_states: 10_000,
         }
     }
 
@@ -64,7 +64,7 @@ impl BenchProfile {
             sweep_points: 12,
             sim_horizon_hours: 50_000.0,
             sim_replications: 8,
-            large_sparse_states: 100_000,
+            large_chain_states: 100_000,
         }
     }
 }
@@ -218,7 +218,7 @@ pub fn power_chain() -> Ctmc {
 /// levels (a k-out-of-n pool of `states - 1` units), per-level failure
 /// rate `(n - j)·λ` and repair rate `(j + 1)·μ`. Rates span a benign
 /// range, so the chain is large but not stiff — the workload isolates
-/// state-space size, the one axis the sparse rung exists for.
+/// state-space size.
 ///
 /// # Panics
 ///
@@ -321,14 +321,14 @@ mod tests {
         assert!(q.iterations <= f.iterations);
         assert!(q.sweep_points < f.sweep_points);
         assert!(q.sim_horizon_hours < f.sim_horizon_hours);
-        assert!(q.large_sparse_states < f.large_sparse_states);
+        assert!(q.large_chain_states < f.large_chain_states);
     }
 
     #[test]
     fn large_birth_death_is_irreducible_and_sized() {
         let chain = large_birth_death(1_000);
         assert_eq!(chain.len(), 1_000);
-        let pi = chain.steady_state(SteadyStateMethod::Sparse).unwrap();
+        let pi = chain.steady_state(SteadyStateMethod::Gth).unwrap();
         let mass: f64 = pi.iter().sum();
         assert!((mass - 1.0).abs() < 1e-12);
     }

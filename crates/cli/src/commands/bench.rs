@@ -134,8 +134,8 @@ static WORKLOADS: [Workload; 4] = [
         run: run_large_stages,
         section: Some("large_scaling"),
         numbers: &[
-            "sparse_states",
-            "sparse_solve_us",
+            "chain_states",
+            "chain_solve_us",
             "block_units",
             "block_states",
             "block_solve_us",
@@ -148,8 +148,8 @@ static WORKLOADS: [Workload; 4] = [
         booleans: &["bit_identical"],
         claims: &[
             Claim {
-                holds: |s, _| num(s, "sparse_states") >= 10_000.0,
-                message: "large_scaling sparse chain has fewer than 10000 states; the workload \
+                holds: |s, _| num(s, "chain_states") >= 10_000.0,
+                message: "large_scaling chain has fewer than 10000 states; the workload \
                           exists to demonstrate >= 10000",
             },
             Claim {
@@ -168,13 +168,12 @@ static WORKLOADS: [Workload; 4] = [
             },
             Claim {
                 holds: |_, st| {
-                    let cert = |key| stage_cert(st, "large_sparse", key);
-                    cert("method").and_then(Value::as_str) == Some("sparse")
+                    let cert = |key| stage_cert(st, "large_chain_solve", key);
+                    cert("method").and_then(Value::as_str) == Some("gth")
                         && cert("verdict").and_then(Value::as_str) == Some("ok")
                         && cert("residual").and_then(Value::as_f64).is_some_and(|r| r < 1e-9)
                 },
-                message:
-                    "`large_sparse` was not certified ok on the sparse rung at residual < 1e-9",
+                message: "`large_chain_solve` was not certified ok on GTH at residual < 1e-9",
             },
         ],
     },
@@ -698,8 +697,8 @@ fn run_sweep_stages(profile: &BenchProfile) -> Result<Run, CliError> {
 // Large-state-space workload (`--large`)
 // ---------------------------------------------------------------------------
 
-/// Times the large-state-space workload: the sparse iterative rung on
-/// a 10^4–10^5-state birth–death chain, the generator's occupancy
+/// Times the large-state-space workload: band GTH on a
+/// 10^4–10^5-state birth–death chain, the generator's occupancy
 /// expansion of a thousand-unit k-out-of-n block, and a brute-force
 /// proof that exact lumping preserves the stationary vector on a
 /// `2^8`-state product space.
@@ -709,17 +708,16 @@ fn run_large_stages(profile: &BenchProfile) -> Result<Run, CliError> {
     let reps = profile.iterations;
     let mut stages = Vec::new();
 
-    // The headline chain: big enough that the core ladder routes it to
-    // the sparse rung on state count alone.
-    let chain = workloads::large_birth_death(profile.large_sparse_states);
-    let method = rascad_core::select_method(chain.len(), SteadyStateMethod::Gth);
-    let sparse = std::slice::from_ref(&chain);
-    stages.push(steady_stage("large_sparse", reps, sparse, method, "sparse")?);
+    // The headline chain: a birth–death chain of at least 10^4 states,
+    // which GTH eliminates in its band in linear time.
+    let chain = workloads::large_birth_death(profile.large_chain_states);
+    let gth = SteadyStateMethod::Gth;
+    stages.push(steady_stage("large_chain_solve", reps, std::slice::from_ref(&chain), gth, "gth")?);
 
-    // Repeated sparse solves of the same chain agree bit for bit (the
-    // sweep order is fixed, so they must).
-    let first = chain.steady_state(method).map_err(markov_err("large_sparse"))?;
-    let second = chain.steady_state(method).map_err(markov_err("large_sparse"))?;
+    // Repeated solves of the same chain agree bit for bit (the pivot
+    // order is fixed, so they must).
+    let first = chain.steady_state(gth).map_err(markov_err("large_chain_solve"))?;
+    let second = chain.steady_state(gth).map_err(markov_err("large_chain_solve"))?;
     let bit_identical = first.iter().map(|x| x.to_bits()).eq(second.iter().map(|x| x.to_bits()));
 
     // The generator's birth–death template: a thousand-unit block is
@@ -730,10 +728,9 @@ fn run_large_stages(profile: &BenchProfile) -> Result<Run, CliError> {
     stages
         .push(time_stage("large_block_generate", reps, || Ok(generate_block(&params, &globals)?))?);
     let model = generate_block(&params, &globals)?;
-    let block_method = rascad_core::select_method(model.chain.len(), SteadyStateMethod::Gth);
     let block = std::slice::from_ref(&model.chain);
-    stages.push(steady_stage("large_block_solve", reps, block, block_method, "sparse")?);
-    let pi = model.chain.steady_state(block_method).map_err(markov_err("large_block_solve"))?;
+    stages.push(steady_stage("large_block_solve", reps, block, gth, "gth")?);
+    let pi = model.chain.steady_state(gth).map_err(markov_err("large_block_solve"))?;
     let block_availability: f64 =
         model.chain.states().iter().zip(&pi).map(|(s, p)| s.reward * p).sum();
 
@@ -759,8 +756,8 @@ fn run_large_stages(profile: &BenchProfile) -> Result<Run, CliError> {
         .fold(0.0f64, f64::max);
 
     let section = obj([
-        ("sparse_states", Value::from(chain.len())),
-        ("sparse_solve_us", Value::Num(stages[0].min_us)),
+        ("chain_states", Value::from(chain.len())),
+        ("chain_solve_us", Value::Num(stages[0].min_us)),
         ("bit_identical", Value::from(bit_identical)),
         ("block_units", Value::from(workloads::LARGE_BLOCK_UNITS)),
         ("block_states", Value::from(model.chain.len())),
@@ -862,7 +859,9 @@ fn run_serve_stages(profile: &BenchProfile) -> Result<Run, CliError> {
     // throughput phase measures.
     let small = serve_spec("BenchServe", &[("A", 2, 10_000.0), ("B", 1, 50_000.0)]);
     // A redundant 100 000-unit block expands birth–death style to a
-    // ~10^5-state chain, far beyond the deadline probe's 50 ms budget.
+    // ~10^5-state chain. Its steady state takes milliseconds, but its
+    // mission step (an 8,760 h uniformization series) runs far beyond
+    // the deadline probe's 50 ms budget.
     let big = serve_spec("BenchServeBig", &[("A", 100_000, 10_000.0)]);
     let mut stages = Vec::new();
 
@@ -917,7 +916,8 @@ fn run_serve_stages(profile: &BenchProfile) -> Result<Run, CliError> {
         .unwrap_or(f64::NAN);
 
     // Burst phase: fill the whole admission capacity with deadline-
-    // bounded big-chain solves (they hold their slots for ~1.5 s), then
+    // bounded big-chain solves (their mission steps hold the slots for
+    // ~1.5 s), then
     // hammer the gate — every burst attempt while saturated must shed.
     let mut shed = 0u64;
     let mut burst_latencies: Vec<f64> = Vec::new();
@@ -1763,14 +1763,14 @@ mod tests {
             .collect();
         assert_eq!(
             names,
-            ["large_sparse", "large_block_generate", "large_block_solve", "lump_proof"]
+            ["large_chain_solve", "large_block_generate", "large_block_solve", "lump_proof"]
         );
 
-        // check_document already gated the structural claims (sparse
-        // rung, ok verdict, residual < 1e-9, lump exactness); pin the
+        // check_document already gated the structural claims (GTH, ok
+        // verdict, residual < 1e-9, lump exactness); pin the
         // quick profile's sizes on top.
         let scaling = doc.get("large_scaling").unwrap();
-        assert_eq!(scaling.get("sparse_states").unwrap().as_i64(), Some(10_000));
+        assert_eq!(scaling.get("chain_states").unwrap().as_i64(), Some(10_000));
         assert_eq!(scaling.get("block_units").unwrap().as_i64(), Some(1000));
         assert_eq!(scaling.get("block_states").unwrap().as_i64(), Some(1001));
         assert_eq!(scaling.get("lump_full_states").unwrap().as_i64(), Some(256));
@@ -1856,17 +1856,17 @@ mod tests {
         // Edits that each break just one claim on the committed document,
         // keyed by a fragment of that claim's message.
         let breakers: [(&str, &[&str], Value); 13] = [
-            (
-                "fewer than 10000 states",
-                &["large_scaling", "sparse_states"],
-                Value::from(9_999_i64),
-            ),
+            ("fewer than 10000 states", &["large_scaling", "chain_states"], Value::from(9_999_i64)),
             ("units + 1 occupancy", &["large_scaling", "block_states"], Value::from(1_000_i64)),
             ("n + 1 states", &["large_scaling", "lump_states"], Value::from(256_i64)),
             ("deviates by more than", &["large_scaling", "lump_max_delta"], Value::Num(1e-6)),
-            ("sparse rung", &["stages", "large_sparse", "certificate", "method"], "gth".into()),
-            ("sparse rung", &["stages", "large_sparse", "certificate", "verdict"], "warn".into()),
-            ("sparse rung", &["stages", "large_sparse", "certificate", "residual"], Value::Null),
+            ("ok on GTH", &["stages", "large_chain_solve", "certificate", "method"], "lu".into()),
+            (
+                "ok on GTH",
+                &["stages", "large_chain_solve", "certificate", "verdict"],
+                "warn".into(),
+            ),
+            ("ok on GTH", &["stages", "large_chain_solve", "certificate", "residual"], Value::Null),
             ("fewer than 1000 solves", &["serve_load", "solves"], Value::from(999_i64)),
             ("fewer requests", &["serve_load", "requests"], Value::from(10_i64)),
             ("must shed", &["serve_load", "shed"], Value::from(0_i64)),

@@ -197,7 +197,7 @@ COMMANDS:
                                         the default suite (the generate-and-solve
                                         pipeline); --sweep (solve engine vs the sequential
                                         baseline, cache stats, bit-identity); --large
-                                        (10^4-10^5-state sparse solve, 1000-unit k-of-n
+                                        (10^4-10^5-state band GTH solve, 1000-unit k-of-n
                                         block, lump proof); --serve (in-process daemon:
                                         >=1k solves, shed burst, deadline probe, drain).
                                         --compare checks against a baseline of the same

@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use rascad_markov::{Ctmc, Fingerprint, SteadyStateMethod};
+use rascad_markov::{CancelToken, Ctmc, Fingerprint, SteadyStateMethod};
 
 use crate::certify::{SolutionCertificate, Verdict};
 use crate::error::CoreError;
@@ -60,9 +60,10 @@ pub struct MissionMeasures {
 pub fn compute_mission_measures(
     model: &BlockModel,
     mission_hours: f64,
+    cancel: Option<&CancelToken>,
 ) -> Result<MissionMeasures, CoreError> {
-    let iv = interval_measures(model, mission_hours)?;
-    let rel = reliability_measures(model, mission_hours)?;
+    let iv = interval_measures(model, mission_hours, cancel)?;
+    let rel = reliability_measures(model, mission_hours, cancel)?;
     Ok(MissionMeasures {
         interval_availability: iv.interval_availability,
         reliability_at_mission: rel.reliability_at_mission,
@@ -320,6 +321,19 @@ impl SolveCache {
         mission_hours: f64,
         generation: u64,
     ) -> Result<MissionMeasures, CoreError> {
+        self.mission_cancellable(model, mission_hours, generation, None)
+    }
+
+    /// [`SolveCache::mission_with`] polling a request's cancellation
+    /// token in the solves of a miss. A cancelled solve is an error, so
+    /// it is never cached.
+    pub(crate) fn mission_cancellable(
+        &self,
+        model: &BlockModel,
+        mission_hours: f64,
+        generation: u64,
+        cancel: Option<&CancelToken>,
+    ) -> Result<MissionMeasures, CoreError> {
         let key = (model.chain.fingerprint(), mission_hours.to_bits());
         {
             let maps = self.maps.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -331,7 +345,7 @@ impl SolveCache {
             }
         }
         self.note_miss("mission");
-        let measures = compute_mission_measures(model, mission_hours)?;
+        let measures = compute_mission_measures(model, mission_hours, cancel)?;
         let mut maps = self.maps.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if maps.mission.len() >= self.capacity {
             maps.mission.clear();
@@ -428,10 +442,31 @@ mod tests {
         let c = cache.mission(&m, 720.0).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
-        let fresh = compute_mission_measures(&m, 8760.0).unwrap();
+        let fresh = compute_mission_measures(&m, 8760.0, None).unwrap();
         assert_eq!(a, fresh);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 2));
+    }
+
+    #[test]
+    fn cancelled_mission_is_never_cached() {
+        let cache = SolveCache::new();
+        let m = model(10_000.0);
+        let token = CancelToken::new();
+        token.cancel();
+        let err = cache.mission_cancellable(&m, 8760.0, 0, Some(&token)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::Markov { source: rascad_markov::MarkovError::Cancelled { .. }, .. }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(cache.stats().entries, 0);
+        // The next, uncancelled lookup solves afresh and then caches.
+        let fresh = cache.mission(&m, 8760.0).unwrap();
+        assert_eq!(fresh, compute_mission_measures(&m, 8760.0, None).unwrap());
+        assert_eq!((cache.stats().misses, cache.stats().entries), (2, 1));
     }
 
     #[test]

@@ -29,9 +29,9 @@ pub const RESIDUAL_WARN: f64 = 1e-6;
 
 /// Chains larger than this skip the condition estimate: the estimator
 /// needs an `O(n³)` dense factorization, which stops being free well
-/// before the sizes the sparse iterative rung handles. Certification
+/// before the pool sizes band GTH solves in linear time. Certification
 /// itself stays `O(nnz)` — the residual check is one sparse SpMV — so
-/// every solve, including 10^5-state sparse ones, gets a certificate.
+/// every solve, including 10^5-state pools, gets a certificate.
 pub const CONDEST_MAX_STATES: usize = 128;
 
 /// Certification outcome, ordered by severity.

@@ -32,7 +32,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use rascad_markov::{MarkovError, SolveOptions, SteadyStateMethod};
+use rascad_markov::{CancelToken, SolveOptions, SteadyStateMethod};
 use rascad_spec::{Block, BlockParams, Diagram, GlobalParams, SystemSpec};
 
 use crate::cache::{CacheStats, MissionMeasures, SolveCache};
@@ -365,10 +365,11 @@ impl Engine {
         model: &BlockModel,
         mission_hours: f64,
         generation: u64,
+        cancel: Option<&CancelToken>,
     ) -> Result<MissionMeasures, CoreError> {
         match &self.cache {
-            Some(c) => c.mission_with(model, mission_hours, generation),
-            None => crate::cache::compute_mission_measures(model, mission_hours),
+            Some(c) => c.mission_cancellable(model, mission_hours, generation, cancel),
+            None => crate::cache::compute_mission_measures(model, mission_hours, cancel),
         }
     }
 
@@ -652,13 +653,8 @@ impl Engine {
             }
             _ => self.cached_steady(&model, method, options, generation)?,
         };
-        if options.cancel.as_ref().is_some_and(rascad_markov::CancelToken::is_cancelled) {
-            return Err(CoreError::Markov {
-                block: model.name.clone(),
-                source: MarkovError::Cancelled { method: "mission", iterations: 0 },
-            });
-        }
-        let mission_measures = self.cached_mission(&model, mission, generation)?;
+        let mission_measures =
+            self.cached_mission(&model, mission, generation, options.cancel.as_ref())?;
         Ok(SolvedBlock {
             level,
             path: path.to_string(),

@@ -176,9 +176,9 @@ mod tests {
     }
 
     #[test]
-    fn thousand_unit_block_solves_on_the_sparse_rung() {
+    fn thousand_unit_block_solves_on_the_gth_rung() {
         // 1001 states is far beyond the dense templates but routine for
-        // the sparse rung via the ladder.
+        // band GTH: the chain is tridiagonal, so elimination is O(n).
         let g = GlobalParams::default();
         let m = generate_block(&params(1000, 900), &g).unwrap();
         assert_eq!(m.state_count(), 1001);
@@ -189,7 +189,7 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(out.method, "sparse");
+        assert_eq!(out.method, "gth");
         let a = m.chain.expected_reward(&out.pi);
         assert!(a > 0.999 && a < 1.0, "availability {a}");
     }

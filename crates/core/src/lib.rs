@@ -75,8 +75,5 @@ pub use hierarchy::{
 };
 pub use measures::{BlockMeasures, IntervalMeasures, ReliabilityMeasures};
 pub use performability::{performability, PerformabilityMeasures};
-pub use solve::{
-    method_name, select_method, solve_block, steady_state_ladder, DENSE_STATE_CAP,
-    SPARSE_STATE_THRESHOLD,
-};
+pub use solve::{method_name, solve_block, steady_state_ladder};
 pub use sweep::{sweep, SweepPoint};

@@ -5,7 +5,9 @@
 //! * reliability model: MTTF, reliability at `T`, interval failure rate
 //!   for `(0, T)`, hazard rate.
 
-use rascad_markov::{absorbing, transient, SteadyStateMethod, TransientOptions};
+use rascad_markov::{
+    absorbing, transient, CancelToken, MarkovError, SteadyStateMethod, TransientOptions,
+};
 
 use crate::certify::SolutionCertificate;
 use crate::error::CoreError;
@@ -174,19 +176,22 @@ pub(crate) fn steady_state_measures_certified(
     Ok((BlockMeasures::from_availability(availability, failure_rate), certificate))
 }
 
-/// Computes interval measures over `(0, horizon)` starting from `Ok`.
+/// Computes interval measures over `(0, horizon)` starting from `Ok`,
+/// polling `cancel` (a request's deadline) inside the transient solve.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Markov`] for invalid horizons or solver
-/// failures.
+/// Returns [`CoreError::Markov`] for invalid horizons, solver failures,
+/// or a tripped `cancel`.
 pub fn interval_measures(
     model: &BlockModel,
     horizon_hours: f64,
+    cancel: Option<&CancelToken>,
 ) -> Result<IntervalMeasures, CoreError> {
     let mut p0 = vec![0.0; model.chain.len()];
     p0[model.ok_state()] = 1.0;
-    let sol = transient::solve(&model.chain, &p0, horizon_hours, TransientOptions::default())
+    let opts = TransientOptions::default();
+    let sol = transient::solve_cancellable(&model.chain, &p0, horizon_hours, opts, cancel)
         .map_err(|source| CoreError::Markov { block: model.name.clone(), source })?;
     Ok(IntervalMeasures {
         horizon_hours,
@@ -195,24 +200,31 @@ pub fn interval_measures(
     })
 }
 
-/// Computes reliability measures with the mission time `T`.
+/// Computes reliability measures with the mission time `T`, polling
+/// `cancel` before the MTTF solve (a dense elimination it cannot
+/// interrupt) and inside the reliability curve.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Markov`] if the chain has no down states or the
-/// solver fails.
+/// Returns [`CoreError::Markov`] if the chain has no down states, the
+/// solver fails, or `cancel` trips.
 pub fn reliability_measures(
     model: &BlockModel,
     mission_hours: f64,
+    cancel: Option<&CancelToken>,
 ) -> Result<ReliabilityMeasures, CoreError> {
     let wrap = |source| CoreError::Markov { block: model.name.clone(), source };
+    if cancel.is_some_and(CancelToken::is_cancelled) {
+        return Err(wrap(MarkovError::Cancelled { method: "mttf", iterations: 0 }));
+    }
     let mttf = absorbing::mttf(&model.chain, model.ok_state()).map_err(wrap)?;
     // Sample R at T and slightly past it for the hazard estimate.
     let dt = (mission_hours * 1e-3).max(1e-6);
-    let curve = absorbing::reliability_curve(
+    let curve = absorbing::reliability_curve_cancellable(
         &model.chain,
         model.ok_state(),
         &[mission_hours, mission_hours + dt],
+        cancel,
     )
     .map_err(wrap)?;
     let r = curve.reliability[0];
@@ -285,7 +297,7 @@ mod tests {
     fn interval_availability_between_steady_state_and_one() {
         let m = simple_model();
         let ss = steady_state_measures(&m, SteadyStateMethod::Gth).unwrap();
-        let iv = interval_measures(&m, 8760.0).unwrap();
+        let iv = interval_measures(&m, 8760.0, None).unwrap();
         assert!(iv.interval_availability >= ss.availability - 1e-12);
         assert!(iv.interval_availability <= 1.0);
         // At a long horizon the point availability approaches steady
@@ -296,7 +308,7 @@ mod tests {
     #[test]
     fn reliability_measures_sane() {
         let m = simple_model();
-        let rel = reliability_measures(&m, 8760.0).unwrap();
+        let rel = reliability_measures(&m, 8760.0, None).unwrap();
         // MTTF ~ MTBF = 10000 h for the single-component model.
         assert!((rel.mttf_hours - 10_000.0).abs() < 1.0, "{}", rel.mttf_hours);
         assert!((rel.reliability_at_mission - (-8760.0f64 / 10_000.0).exp()).abs() < 1e-6);

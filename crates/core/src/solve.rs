@@ -6,25 +6,18 @@
 //! power iteration that stalls on a stiff chain, or an LU factorization
 //! that goes singular to working precision, are both recoverable by a
 //! more robust method. [`steady_state_ladder`] encodes that policy as a
-//! fixed rung order — **sparse → power → LU → GTH** — starting at the
-//! requested method and falling through only on *retryable* failures
-//! (non-convergence, singularity, wall-clock timeout). GTH is the last
-//! rung because its subtraction-free elimination is the numerically
-//! strongest method this crate has; there is nothing to fall back to
-//! after it.
+//! fixed rung order — **power → LU → GTH** — starting at the requested
+//! method and falling through only on *retryable* failures
+//! (non-convergence, singularity, wall-clock timeout, or an elimination
+//! over the storage bound). GTH is the last rung because its
+//! subtraction-free elimination is the numerically strongest method
+//! this crate has; there is nothing to fall back to after it.
 //!
-//! # State-count selection
-//!
-//! Rung choice is state-count aware. At or above
-//! [`SPARSE_STATE_THRESHOLD`] states any requested method is upgraded
-//! to the sparse Gauss–Seidel rung (`O(nnz)` per sweep, three-vector
-//! working set), because the dense direct methods cost `O(n²)` memory
-//! and `O(n³)` time there. Above [`DENSE_STATE_CAP`] the dense rungs
-//! (LU, GTH) are removed from the ladder entirely — at that size a
-//! dense factorization would not finish inside any reasonable wall
-//! clock, so failing over to it would only convert a typed sparse error
-//! into a timeout. Small chains keep the historical power → LU → GTH
-//! ladder unchanged.
+//! GTH runs in the generator's band (see `rascad_markov::gth`), so it is
+//! linear on the birth–death chains of k-out-of-n pools and needs no
+//! state-count routing. Dense LU allocates `n²` entries; past
+//! [`rascad_markov::MAX_ELIMINATION_ENTRIES`] it refuses with a typed
+//! `ExceedsStorage` before allocating, and the ladder moves on to GTH.
 //!
 //! Every attempt is bounded by the iteration and wall-clock budgets in
 //! [`SolveOptions`], every fallback increments the `solve.fallbacks`
@@ -40,54 +33,17 @@ use crate::generator::BlockModel;
 use crate::measures::BlockMeasures;
 
 /// Rung order of the fallback ladder, weakest to strongest.
-const LADDER: [SteadyStateMethod; 4] = [
-    SteadyStateMethod::Sparse,
-    SteadyStateMethod::Power,
-    SteadyStateMethod::Lu,
-    SteadyStateMethod::Gth,
-];
-
-/// State count at which every solve is routed to the sparse iterative
-/// rung regardless of the requested method. Mirrored by lint RAS106
-/// (the lint crates do not depend on this one).
-pub const SPARSE_STATE_THRESHOLD: usize = 512;
-
-/// State count above which the dense direct rungs (LU, GTH) are
-/// dropped from the ladder: an `O(n³)` factorization at this size
-/// cannot finish inside a production wall clock, so keeping the rungs
-/// would only turn typed iterative errors into timeouts.
-pub const DENSE_STATE_CAP: usize = 2048;
+const LADDER: [SteadyStateMethod; 3] =
+    [SteadyStateMethod::Power, SteadyStateMethod::Lu, SteadyStateMethod::Gth];
 
 /// Stable lowercase name of a method (matches the `method` field of
 /// [`MarkovError::NotConverged`] / [`MarkovError::Timeout`]).
 #[must_use]
 pub fn method_name(method: SteadyStateMethod) -> &'static str {
     match method {
-        SteadyStateMethod::Sparse => "sparse",
         SteadyStateMethod::Power => "power",
         SteadyStateMethod::Lu => "lu",
         SteadyStateMethod::Gth => "gth",
-    }
-}
-
-/// The method the ladder actually starts from for an `n`-state chain:
-/// the request verbatim below [`SPARSE_STATE_THRESHOLD`], the sparse
-/// rung at or above it.
-#[must_use]
-pub fn select_method(n: usize, requested: SteadyStateMethod) -> SteadyStateMethod {
-    if n >= SPARSE_STATE_THRESHOLD {
-        SteadyStateMethod::Sparse
-    } else {
-        requested
-    }
-}
-
-/// Whether a rung is usable on an `n`-state chain (dense direct rungs
-/// are capped at [`DENSE_STATE_CAP`] states).
-fn rung_fits(method: SteadyStateMethod, n: usize) -> bool {
-    match method {
-        SteadyStateMethod::Lu | SteadyStateMethod::Gth => n <= DENSE_STATE_CAP,
-        SteadyStateMethod::Sparse | SteadyStateMethod::Power => true,
     }
 }
 
@@ -97,8 +53,8 @@ fn rung_fits(method: SteadyStateMethod, n: usize) -> bool {
 /// failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ForcedFailure {
-    /// Iterative rungs report budget exhaustion, direct rungs report
-    /// singularity.
+    /// The power rung reports budget exhaustion, the direct rungs
+    /// report singularity.
     NotConverged,
     /// Every rung reports a wall-clock timeout (without spending one).
     Timeout,
@@ -115,7 +71,10 @@ pub(crate) enum ForcedFailure {
 fn retryable(e: &MarkovError) -> bool {
     matches!(
         e,
-        MarkovError::NotConverged { .. } | MarkovError::Singular | MarkovError::Timeout { .. }
+        MarkovError::NotConverged { .. }
+            | MarkovError::Singular
+            | MarkovError::Timeout { .. }
+            | MarkovError::ExceedsStorage { .. }
     )
 }
 
@@ -134,12 +93,6 @@ fn run_rung(
                 residual: 1.0,
                 tolerance: options.tolerance,
             },
-            SteadyStateMethod::Sparse => MarkovError::NotConverged {
-                method: "sparse",
-                iterations: options.sparse_sweep_budget(),
-                residual: 1.0,
-                tolerance: options.tolerance,
-            },
             _ => MarkovError::Singular,
         }),
         Some(ForcedFailure::Timeout) => {
@@ -154,10 +107,9 @@ fn run_rung(
     }
 }
 
-/// Stationary distribution via the fallback ladder: the selected
-/// method first (see [`select_method`]), then every stronger remaining
-/// rung of sparse → power → LU → GTH, each attempt bounded by
-/// `options`.
+/// Stationary distribution via the fallback ladder: the requested
+/// method first, then every stronger remaining rung of power → LU →
+/// GTH, each attempt bounded by `options`.
 ///
 /// # Errors
 ///
@@ -218,13 +170,9 @@ pub(crate) fn steady_state_ladder_outcome(
     options: &SolveOptions,
     forced: Option<ForcedFailure>,
 ) -> Result<LadderOutcome, MarkovError> {
-    let n = chain.len();
-    let method = select_method(n, method);
     let start = LADDER.iter().position(|m| *m == method).unwrap_or(LADDER.len() - 1);
-    let rungs: Vec<SteadyStateMethod> =
-        LADDER[start..].iter().copied().filter(|&m| rung_fits(m, n)).collect();
     let mut attempts: Vec<SolveAttempt> = Vec::new();
-    for (i, &rung) in rungs.iter().enumerate() {
+    for (i, &rung) in LADDER[start..].iter().enumerate() {
         if i > 0 {
             let from = attempts.last().map_or("?", |a| a.method);
             let to = method_name(rung);
@@ -453,7 +401,6 @@ mod tests {
 
     #[test]
     fn method_names_are_stable() {
-        assert_eq!(method_name(SteadyStateMethod::Sparse), "sparse");
         assert_eq!(method_name(SteadyStateMethod::Power), "power");
         assert_eq!(method_name(SteadyStateMethod::Lu), "lu");
         assert_eq!(method_name(SteadyStateMethod::Gth), "gth");
@@ -473,25 +420,9 @@ mod tests {
     }
 
     #[test]
-    fn selection_is_state_count_aware() {
-        for m in [
-            SteadyStateMethod::Sparse,
-            SteadyStateMethod::Power,
-            SteadyStateMethod::Lu,
-            SteadyStateMethod::Gth,
-        ] {
-            // Below the threshold the request passes through verbatim.
-            assert_eq!(select_method(SPARSE_STATE_THRESHOLD - 1, m), m);
-            // At and above it everything routes to the sparse rung.
-            assert_eq!(select_method(SPARSE_STATE_THRESHOLD, m), SteadyStateMethod::Sparse);
-        }
-    }
-
-    #[test]
-    fn large_chains_solve_on_the_sparse_rung() {
-        // 600 levels ≥ SPARSE_STATE_THRESHOLD: a requested GTH solve is
-        // upgraded to the sparse rung, and the result matches a direct
-        // GTH solve (the chain is still small enough to cross-check).
+    fn large_chains_solve_on_the_gth_rung() {
+        // 601 states: GTH solves it in its band, and LU (dense, still
+        // under the storage bound at this size) agrees.
         let chain = birth_death(600);
         let out = steady_state_ladder_outcome(
             &chain,
@@ -500,34 +431,29 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(out.method, "sparse");
-        assert_eq!(out.trail, ["sparse: ok"]);
-        let gth = chain.steady_state(SteadyStateMethod::Gth).unwrap();
-        for (a, b) in out.pi.iter().zip(&gth) {
+        assert_eq!(out.method, "gth");
+        assert_eq!(out.trail, ["gth: ok"]);
+        let lu = chain.steady_state(SteadyStateMethod::Lu).unwrap();
+        for (a, b) in out.pi.iter().zip(&lu) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
         }
     }
 
     #[test]
-    fn dense_rungs_are_dropped_above_the_cap() {
-        // Above DENSE_STATE_CAP a forced exhaustion must show only the
-        // sparse and power rungs in the trail — falling over to a dense
-        // factorization at this size would just become a timeout.
-        let chain = birth_death(DENSE_STATE_CAP + 10);
-        let err = steady_state_ladder_forced(
-            &chain,
-            SteadyStateMethod::Gth,
-            &SolveOptions::default(),
-            Some(ForcedFailure::NotConverged),
-        )
-        .unwrap_err();
-        match &err {
-            MarkovError::FallbackExhausted { attempts } => {
-                let methods: Vec<_> = attempts.iter().map(|a| a.method).collect();
-                assert_eq!(methods, ["sparse", "power"]);
-            }
-            other => panic!("expected FallbackExhausted, got {other:?}"),
-        }
+    fn lu_over_the_storage_bound_falls_through_to_gth() {
+        // A 10^5-unit pool: dense LU would need 10^10 entries (80 GB).
+        // It is refused before allocating, and GTH solves the band.
+        let p = BlockParams::new("Pool", 100_000, 1).with_mtbf(Hours(10_000.0));
+        let model = crate::generate_block(&p, &GlobalParams::default()).unwrap();
+        let (measures, cert) =
+            crate::measures::steady_state_measures_with_certificate(&model, SteadyStateMethod::Lu)
+                .unwrap();
+        assert_eq!(cert.method, "gth");
+        assert_eq!(cert.trail.len(), 2, "{:?}", cert.trail);
+        assert!(cert.trail[0].starts_with("lu: lu elimination needs"), "{:?}", cert.trail);
+        assert!(cert.trail[0].contains("storage bound"), "{:?}", cert.trail);
+        assert_eq!(cert.trail[1], "gth: ok");
+        assert!(measures.availability > 0.999_999, "{measures:?}");
     }
 
     #[test]

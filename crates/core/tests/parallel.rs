@@ -171,11 +171,11 @@ fn poisoned_cache_entry_never_serves_a_stale_solution() {
 }
 
 #[test]
-fn sparse_rung_is_bit_identical_across_thread_counts() {
-    // Two large k-out-of-n blocks expand to birth–death chains beyond
-    // the sparse threshold, so their solves run on the sparse iterative
-    // rung. Its sweep order is fixed, so thread count must not change a
-    // single bit of the result. A one-day mission keeps the transient
+fn gth_rung_is_bit_identical_across_thread_counts() {
+    // Two large k-out-of-n blocks expand to 601- and 901-state
+    // birth–death chains, which GTH solves in their band. Its pivot
+    // order is fixed, so thread count must not change a single bit of
+    // the result. A one-day mission keeps the transient
     // interval-availability solve (uniformization steps scale with
     // rate × horizon) cheap in debug builds.
     let mut d = Diagram::new("Farm");

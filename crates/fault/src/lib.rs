@@ -65,7 +65,7 @@ pub enum FaultKind {
     /// the engine's `catch_unwind` isolation boundary.
     Panic,
     /// Force every rung of the solver fallback ladder to report
-    /// non-convergence (iterative rungs) or singularity (direct rungs).
+    /// non-convergence (the power rung) or singularity (direct rungs).
     NotConverged,
     /// Corrupt one generated transition rate to NaN so chain
     /// construction fails with a typed `InvalidRate` error.

@@ -210,8 +210,8 @@ pub const CATALOG: &[CatalogEntry] = &[
         severity: Severity::Warning,
         title: "state exit rates span ≥ 1e9 (stiff chain)",
         example: "mtbf = 1e9 h next to failover_time = 1 min",
-        remedy: "solve with the GTH direct method; iterative solvers converge \
-                 slowly and lose precision on stiff chains",
+        remedy: "solve with the GTH direct method; power iteration converges \
+                 slowly and LU loses precision on stiff chains",
     },
     CatalogEntry {
         code: tier_b::STIFFNESS_NOTE,
@@ -219,15 +219,6 @@ pub const CATALOG: &[CatalogEntry] = &[
         title: "state exit rates span ≥ 1e6",
         example: "typical hardware MTBFs next to minute-scale repairs",
         remedy: "no action needed; GTH is the numerically safest solver choice",
-    },
-    CatalogEntry {
-        code: tier_b::LARGE_STATE_SPACE,
-        severity: Severity::Info,
-        title: "large state space — sparse iterative rung recommended",
-        example: "a redundant block with hundreds of units (≥ 512 chain states)",
-        remedy: "no action needed; the solver ladder routes chains of this size \
-                 to the sparse Gauss–Seidel rung automatically, and the hint \
-                 cites a measured probe of its convergence",
     },
     CatalogEntry {
         code: crate::codes::TIERS_SKIPPED,
@@ -388,14 +379,7 @@ mod tests {
         };
         let tier_b: &[&str] = &{
             use crate::tier_b::codes::*;
-            [
-                UNREACHABLE_STATE,
-                ABSORBING_STATE,
-                DISCONNECTED_CHAIN,
-                STIFF_CHAIN,
-                STIFFNESS_NOTE,
-                LARGE_STATE_SPACE,
-            ]
+            [UNREACHABLE_STATE, ABSORBING_STATE, DISCONNECTED_CHAIN, STIFF_CHAIN, STIFFNESS_NOTE]
         };
         let tier_c: &[&str] = &{
             use crate::tier_c::codes::*;

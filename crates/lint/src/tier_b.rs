@@ -9,8 +9,8 @@
 //!
 //! Stiffness is different: a chain whose transition rates span many
 //! orders of magnitude (hardware MTBFs of 1e5 h against failover times
-//! of minutes give rate ratios near 1e7) is still solvable, but
-//! iterative methods converge slowly and accumulate round-off. The
+//! of minutes give rate ratios near 1e7) is still solvable, but power
+//! iteration converges slowly and LU accumulates round-off. The
 //! stiffness heuristic recommends the GTH direct solver, which is
 //! subtraction-free and immune to the problem.
 
@@ -45,13 +45,6 @@ pub const CONDEST_MAX_STATES: usize = 128;
 /// and cheap enough to run inside a lint pass.
 pub const PROBE_MAX_ITERATIONS: usize = 512;
 
-/// State count at or above which [`codes::LARGE_STATE_SPACE`]
-/// recommends the sparse iterative solver rung. Mirrors
-/// `rascad_core::SPARSE_STATE_THRESHOLD` (this crate depends only on
-/// the markov layer, so the constant cannot be shared directly); the
-/// solver ladder switches to the sparse rung at exactly this size.
-pub const SPARSE_STATE_THRESHOLD: usize = 512;
-
 /// Tier B diagnostic codes.
 pub mod codes {
     /// A state cannot be reached from the initial state.
@@ -64,9 +57,6 @@ pub mod codes {
     pub const STIFF_CHAIN: &str = "RAS104";
     /// Transition rates span ≥ [`super::STIFFNESS_INFO_RATIO`].
     pub const STIFFNESS_NOTE: &str = "RAS105";
-    /// State count ≥ [`super::SPARSE_STATE_THRESHOLD`] — the sparse
-    /// iterative rung is the right solver.
-    pub const LARGE_STATE_SPACE: &str = "RAS106";
 }
 
 /// Runs every Tier B analysis on one block's chain. `path` is the
@@ -78,7 +68,6 @@ pub fn analyze_chain(path: &str, chain: &Ctmc) -> Vec<Diagnostic> {
     absorbing(path, chain, &mut diags);
     connectivity(path, chain, &mut diags);
     stiffness(path, chain, &mut diags);
-    large_state_space(path, chain, &mut diags);
     diags
 }
 
@@ -225,7 +214,7 @@ fn stiffness(path: &str, chain: &Ctmc, diags: &mut Vec<Diagnostic>) {
             format!(
                 "stiff chain: state exit rates span a ratio of {ratio:.1e} \
                  (fastest {max:.3e}/h, slowest {min:.3e}/h); {evidence}; use the \
-                 GTH direct solver — iterative methods converge slowly here",
+                 GTH direct solver — power iteration converges slowly here",
             ),
         ));
     } else {
@@ -239,53 +228,6 @@ fn stiffness(path: &str, chain: &Ctmc, diags: &mut Vec<Diagnostic>) {
             ),
         ));
     }
-}
-
-/// RAS106: large state space. At or above [`SPARSE_STATE_THRESHOLD`]
-/// states the dense direct solvers need an `O(n²)` factorization and
-/// `O(n³)` time, while the sparse Gauss–Seidel rung works in `O(nnz)`
-/// per sweep. Like RAS104/RAS105, the hint cites measured evidence —
-/// a capped sparse probe on *this* chain with its certified-quality
-/// scaled residual — rather than the size heuristic alone.
-#[allow(clippy::cast_precision_loss)] // state counts stay far below 2^52
-fn large_state_space(path: &str, chain: &Ctmc, diags: &mut Vec<Diagnostic>) {
-    let n = chain.len();
-    if n < SPARSE_STATE_THRESHOLD {
-        return;
-    }
-    // Working set of one dense n×n f64 factorization.
-    let dense_mib = (n * n * 8) as f64 / (1024.0 * 1024.0);
-    let opts =
-        SolveOptions { max_iterations: Some(PROBE_MAX_ITERATIONS), ..SolveOptions::default() };
-    let evidence = match chain.steady_state_with(SteadyStateMethod::Sparse, &opts) {
-        Ok(pi) => {
-            // Cite the certified quantity: the scaled residual of the
-            // probe's iterate (deterministic, so golden-stable).
-            let residual =
-                chain.generator().vec_mul(&pi).iter().fold(0.0_f64, |a, &b| a.max(b.abs()));
-            let norm = 2.0 * chain.exit_rates().iter().fold(0.0_f64, |a, &b| a.max(b));
-            let scaled = if norm > 0.0 { residual / norm } else { residual };
-            format!(
-                "sparse probe converged within {PROBE_MAX_ITERATIONS} sweeps, \
-                 scaled residual {scaled:.1e}"
-            )
-        }
-        Err(MarkovError::NotConverged { iterations, residual, .. }) => {
-            format!("sparse probe gave up after {iterations} sweeps (residual {residual:.1e})")
-        }
-        Err(e) => format!("sparse probe failed: {e}"),
-    };
-    diags.push(Diagnostic::new(
-        codes::LARGE_STATE_SPACE,
-        Severity::Info,
-        path,
-        format!(
-            "large state space: {n} states; a dense factorization needs \
-             ~{dense_mib:.0} MiB and O(n³) time, each sparse sweep is \
-             O(transitions) ({evidence}); the solver ladder selects the \
-             sparse iterative rung automatically at ≥ {SPARSE_STATE_THRESHOLD} states",
-        ),
-    ));
 }
 
 /// Measured numerical evidence the stiffness hints cite, so the solver
@@ -459,42 +401,6 @@ mod tests {
     fn ratio_below_info_threshold_is_clean() {
         let chain = two_state(STIFFNESS_INFO_RATIO / 2.0, 1.0);
         assert!(analyze_chain("Sys/A", &chain).is_empty());
-    }
-
-    /// Birth–death chain with `levels + 1` states and a benign (< 1e6)
-    /// exit-rate spread, so only the size-based analysis can fire.
-    #[allow(clippy::cast_precision_loss)]
-    fn birth_death(levels: usize) -> Ctmc {
-        let mut b = CtmcBuilder::new();
-        for j in 0..=levels {
-            b.add_state(format!("L{j}"), if j == 0 { 1.0 } else { 0.0 });
-        }
-        for j in 0..levels {
-            b.add_transition(j, j + 1, (levels - j) as f64 * 1e-4);
-            b.add_transition(j + 1, j, (j + 1) as f64 * 0.1);
-        }
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn chain_below_sparse_threshold_has_no_size_note() {
-        let chain = birth_death(SPARSE_STATE_THRESHOLD - 2); // n-1 states
-        assert!(analyze_chain("Sys/A", &chain).iter().all(|d| d.code != codes::LARGE_STATE_SPACE));
-    }
-
-    #[test]
-    fn chain_at_sparse_threshold_recommends_the_sparse_rung() {
-        let chain = birth_death(SPARSE_STATE_THRESHOLD - 1); // exactly n states
-        let diags = analyze_chain("Sys/A", &chain);
-        let d = diags
-            .iter()
-            .find(|d| d.code == codes::LARGE_STATE_SPACE)
-            .unwrap_or_else(|| panic!("RAS106 missing: {diags:?}"));
-        assert_eq!(d.severity, Severity::Info);
-        // The hint cites measured probe evidence, not just the size.
-        assert!(d.message.contains("sparse probe"), "{}", d.message);
-        assert!(d.message.contains("scaled residual"), "{}", d.message);
-        assert!(d.message.contains("512 states"), "{}", d.message);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! making every down state absorbing: the time to absorption is the time
 //! to first system failure.
 
-use crate::ctmc::{Ctmc, CtmcBuilder, StateId};
+use crate::ctmc::{CancelToken, Ctmc, CtmcBuilder, StateId};
 use crate::dense::DenseMatrix;
-use crate::error::MarkovError;
+use crate::error::{check_storage, MarkovError};
 use crate::transient::{self, TransientOptions};
 
 /// Reliability measures of a chain whose down states are absorbing.
@@ -65,9 +65,28 @@ pub fn make_absorbing(chain: &Ctmc) -> Ctmc {
 ///
 /// * [`MarkovError::MissingStates`] if the chain has no up or no down
 ///   states, or if `start` is not an up state.
+/// * [`MarkovError::ExceedsStorage`] if the dense `Q_UU` does not fit
+///   [`crate::MAX_ELIMINATION_ENTRIES`].
 /// * [`MarkovError::Singular`] if some up state cannot reach any down
 ///   state (MTTF would be infinite).
 pub fn mttf(chain: &Ctmc, start: StateId) -> Result<AbsorbingAnalysis, MarkovError> {
+    let (up_states, down_states, start_pos) = split_states(chain, start)?;
+    let (a, _) = minus_q_uu(chain, &up_states)?;
+    let ones = vec![1.0; up_states.len()];
+    let m = a.solve(&ones)?;
+    let value = m[start_pos];
+    if !value.is_finite() || value < 0.0 {
+        return Err(MarkovError::Singular);
+    }
+    Ok(AbsorbingAnalysis { mttf: value, up_states, down_states })
+}
+
+/// The up and down states of `chain` and the position of `start` among
+/// the up states.
+fn split_states(
+    chain: &Ctmc,
+    start: StateId,
+) -> Result<(Vec<StateId>, Vec<StateId>, usize), MarkovError> {
     let up_states = chain.up_states();
     let down_states = chain.down_states();
     if up_states.is_empty() {
@@ -81,14 +100,23 @@ pub fn mttf(chain: &Ctmc, start: StateId) -> Result<AbsorbingAnalysis, MarkovErr
             what: format!("start state {start} is not an up state"),
         });
     };
+    Ok((up_states, down_states, start_pos))
+}
 
-    // Index map original -> position among up states.
+/// The dense `−Q_UU` over `up_states`, and each original state's
+/// position among them (`usize::MAX` for down states). The storage
+/// bound is checked before the matrix is allocated.
+fn minus_q_uu(
+    chain: &Ctmc,
+    up_states: &[StateId],
+) -> Result<(DenseMatrix, Vec<usize>), MarkovError> {
+    let nu = up_states.len();
+    check_storage("mttf", nu.saturating_mul(nu))?;
     let mut pos = vec![usize::MAX; chain.len()];
     for (i, &s) in up_states.iter().enumerate() {
         pos[s] = i;
     }
-    let nu = up_states.len();
-    let mut a = DenseMatrix::zeros(nu, nu); // -Q_UU
+    let mut a = DenseMatrix::zeros(nu, nu);
     for t in chain.transitions() {
         let pf = pos[t.from];
         if pf == usize::MAX {
@@ -100,13 +128,7 @@ pub fn mttf(chain: &Ctmc, start: StateId) -> Result<AbsorbingAnalysis, MarkovErr
             a[(pf, pt)] -= t.rate;
         }
     }
-    let ones = vec![1.0; nu];
-    let m = a.solve(&ones)?;
-    let value = m[start_pos];
-    if !value.is_finite() || value < 0.0 {
-        return Err(MarkovError::Singular);
-    }
-    Ok(AbsorbingAnalysis { mttf: value, up_states, down_states })
+    Ok((a, pos))
 }
 
 /// Probability that the *first* system failure lands in each down
@@ -122,38 +144,9 @@ pub fn mttf(chain: &Ctmc, start: StateId) -> Result<AbsorbingAnalysis, MarkovErr
 ///
 /// Same conditions as [`mttf`].
 pub fn failure_modes(chain: &Ctmc, start: StateId) -> Result<Vec<(StateId, f64)>, MarkovError> {
-    let up_states = chain.up_states();
-    let down_states = chain.down_states();
-    if up_states.is_empty() {
-        return Err(MarkovError::MissingStates { what: "no up states".into() });
-    }
-    if down_states.is_empty() {
-        return Err(MarkovError::MissingStates { what: "no down (absorbing) states".into() });
-    }
-    let Some(start_pos) = up_states.iter().position(|&s| s == start) else {
-        return Err(MarkovError::MissingStates {
-            what: format!("start state {start} is not an up state"),
-        });
-    };
-
-    let mut pos = vec![usize::MAX; chain.len()];
-    for (i, &s) in up_states.iter().enumerate() {
-        pos[s] = i;
-    }
+    let (up_states, down_states, start_pos) = split_states(chain, start)?;
+    let (a, pos) = minus_q_uu(chain, &up_states)?;
     let nu = up_states.len();
-    let mut a = DenseMatrix::zeros(nu, nu); // -Q_UU
-    for t in chain.transitions() {
-        let pf = pos[t.from];
-        if pf == usize::MAX {
-            continue;
-        }
-        a[(pf, pf)] += t.rate;
-        let pt = pos[t.to];
-        if pt != usize::MAX {
-            a[(pf, pt)] -= t.rate;
-        }
-    }
-
     let mut out = Vec::with_capacity(down_states.len());
     for &d in &down_states {
         // Right-hand side: rates from each up state into d.
@@ -203,6 +196,22 @@ pub fn reliability_curve(
     start: StateId,
     times: &[f64],
 ) -> Result<ReliabilityCurve, MarkovError> {
+    reliability_curve_cancellable(chain, start, times, None)
+}
+
+/// [`reliability_curve`] that polls `cancel` between sample points and
+/// inside every transient solve.
+///
+/// # Errors
+///
+/// The [`reliability_curve`] errors, plus [`MarkovError::Cancelled`]
+/// once the token trips.
+pub fn reliability_curve_cancellable(
+    chain: &Ctmc,
+    start: StateId,
+    times: &[f64],
+    cancel: Option<&CancelToken>,
+) -> Result<ReliabilityCurve, MarkovError> {
     if chain.down_states().is_empty() {
         return Err(MarkovError::MissingStates { what: "no down states".into() });
     }
@@ -222,8 +231,12 @@ pub fn reliability_curve(
     p[start] = 1.0;
     let mut at = 0.0;
     let mut rel = vec![0.0; times.len()];
-    for i in order {
-        let sol = transient::solve(&abs, &p, times[i] - at, TransientOptions::default())?;
+    for (done, i) in order.into_iter().enumerate() {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(MarkovError::Cancelled { method: "reliability", iterations: done });
+        }
+        let dt = times[i] - at;
+        let sol = transient::solve_cancellable(&abs, &p, dt, TransientOptions::default(), cancel)?;
         p = sol.probabilities;
         at = times[i];
         // R(t) = probability of still being in an up state.
@@ -347,6 +360,25 @@ mod tests {
     fn reliability_at_zero_is_one() {
         let c = two_state(0.1, 1.0);
         assert!((reliability_at(&c, 0, 0.0).unwrap() - 1.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn dense_solves_over_the_storage_bound_fail_typed() {
+        // 3,000 up states and one down state: the dense −Q_UU would hold
+        // 9·10^6 entries, over the bound, so both solves refuse before
+        // allocating.
+        let mut b = CtmcBuilder::new();
+        for i in 0..=3_000 {
+            b.add_state(format!("L{i}"), if i < 3_000 { 1.0 } else { 0.0 });
+        }
+        for i in 0..3_000 {
+            b.add_transition(i, i + 1, 1e-3);
+            b.add_transition(i + 1, i, 1.0);
+        }
+        let chain = b.build().unwrap();
+        let refused = MarkovError::ExceedsStorage { method: "mttf", entries: 9_000_000 };
+        assert_eq!(mttf(&chain, 0).unwrap_err(), refused);
+        assert_eq!(failure_modes(&chain, 0).unwrap_err(), refused);
     }
 
     #[test]

@@ -14,22 +14,8 @@ pub type StateId = usize;
 /// instead of a spuriously tiny (or zero) one.
 pub const POWER_WORK_BUDGET: usize = 50_000_000;
 
-/// Floor of the default power-iteration budget for chains below
-/// [`LARGE_CHAIN_STATES`].
+/// Floor of the default power-iteration budget.
 pub const MIN_POWER_ITERATIONS: usize = 1_000;
-
-/// Chains with at least this many states count as *large*: the default
-/// power budget drops to [`MIN_LARGE_POWER_ITERATIONS`] so a stalled
-/// power rung fails over to the sparse iterative rung in seconds instead
-/// of spinning a generous floor's worth of `O(nnz)` sweeps against the
-/// wall clock.
-pub const LARGE_CHAIN_STATES: usize = 10_000;
-
-/// Floor of the default power-iteration budget for chains at or above
-/// [`LARGE_CHAIN_STATES`]. Power is a fallback at that size — the sparse
-/// Gauss–Seidel rung is the primary — so the floor only needs to catch
-/// easy chains, not grind stiff ones.
-pub const MIN_LARGE_POWER_ITERATIONS: usize = 64;
 
 /// Cooperative cancellation handle shared between a request owner and
 /// the solver hot loops.
@@ -44,8 +30,9 @@ pub const MIN_LARGE_POWER_ITERATIONS: usize = 64;
 /// rungs.
 ///
 /// Polling an atomic is cheap enough for the check cadences in use
-/// (every 1024 power iterations, every 32 GTH pivots, once per sparse
-/// sweep); `Instant::now()` is only taken when a deadline is set.
+/// (every 1024 power iterations, every 32 GTH pivots, every 256
+/// transient series terms); `Instant::now()` is only taken when a
+/// deadline is set.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: std::sync::Arc<std::sync::atomic::AtomicBool>,
@@ -94,7 +81,7 @@ impl PartialEq for CancelToken {
     }
 }
 
-/// Budgets for the iterative and direct steady-state solvers.
+/// Budgets for the steady-state solvers.
 ///
 /// Every solve attempt is bounded twice: by an iteration budget (the
 /// deterministic bound) and by a wall-clock budget (the robustness
@@ -106,16 +93,18 @@ impl PartialEq for CancelToken {
 /// (the serve daemon) abort a solve mid-flight.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveOptions {
-    /// Power-iteration budget; `None` scales [`POWER_WORK_BUDGET`] by
-    /// the chain size (see [`SolveOptions::power_iteration_budget`]).
+    /// Power-iteration budget, the only rung with an iteration count;
+    /// `None` scales [`POWER_WORK_BUDGET`] by the chain size (see
+    /// [`SolveOptions::power_iteration_budget`]). The direct rungs (LU,
+    /// GTH) ignore it.
     pub max_iterations: Option<usize>,
     /// Power-iteration convergence tolerance on the iterate delta.
     pub tolerance: f64,
     /// Per-attempt wall-clock budget; `None` disables the clock.
     pub wall_clock: Option<std::time::Duration>,
     /// Cooperative cancellation token; `None` means uncancellable.
-    /// Checked at the same cadence as the wall clock in every
-    /// iterative loop; trips [`MarkovError::Cancelled`].
+    /// Checked at the same cadence as the wall clock in every solver
+    /// loop; trips [`MarkovError::Cancelled`].
     pub cancel: Option<CancelToken>,
 }
 
@@ -133,30 +122,13 @@ impl Default for SolveOptions {
 impl SolveOptions {
     /// The power-iteration budget for an `n`-state chain: the explicit
     /// [`max_iterations`](Self::max_iterations) when set, else the
-    /// work-scaled default clamped to a state-count-aware floor —
-    /// [`MIN_POWER_ITERATIONS`] for ordinary chains,
-    /// [`MIN_LARGE_POWER_ITERATIONS`] at or above
-    /// [`LARGE_CHAIN_STATES`], where each iteration is expensive and the
-    /// sparse rung is the better escape hatch than a long grind.
+    /// work-scaled default floored at [`MIN_POWER_ITERATIONS`].
     #[must_use]
     pub fn power_iteration_budget(&self, n: usize) -> usize {
         if let Some(explicit) = self.max_iterations {
             return explicit;
         }
-        let floor =
-            if n >= LARGE_CHAIN_STATES { MIN_LARGE_POWER_ITERATIONS } else { MIN_POWER_ITERATIONS };
-        (POWER_WORK_BUDGET / n.max(1)).max(floor)
-    }
-
-    /// The sweep budget for the sparse iterative rung: the explicit
-    /// [`max_iterations`](Self::max_iterations) when set, else
-    /// [`crate::iterative::SPARSE_SWEEP_BUDGET`]. Flat rather than
-    /// work-scaled — a Gauss–Seidel sweep is already `O(nnz)`, so the
-    /// per-sweep cost grows with the chain and the wall clock bounds the
-    /// total.
-    #[must_use]
-    pub fn sparse_sweep_budget(&self) -> usize {
-        self.max_iterations.unwrap_or(crate::iterative::SPARSE_SWEEP_BUDGET)
+        (POWER_WORK_BUDGET / n.max(1)).max(MIN_POWER_ITERATIONS)
     }
 
     /// Whether `elapsed` has exhausted the wall-clock budget. Inclusive
@@ -194,11 +166,13 @@ impl SolveOptions {
     }
 }
 
-/// Which direct steady-state algorithm to use.
+/// Which steady-state algorithm to use.
 ///
-/// Two independent algorithms are provided so higher layers can
+/// Three independent algorithms are provided so higher layers can
 /// cross-validate results — mirroring the paper's validation of RAScad
-/// against SHARPE and MEADEP.
+/// against SHARPE and MEADEP. GTH runs in the generator's band, so it
+/// is linear on the birth–death chains of k-out-of-n pools and scales
+/// to every chain the generator emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SteadyStateMethod {
     /// Grassmann–Taksar–Heyman elimination. Subtraction-free, hence
@@ -214,13 +188,6 @@ pub enum SteadyStateMethod {
     /// independent numerical path used by the validation experiments.
     /// Slow for stiff chains; accuracy ~1e-12 in the iterate delta.
     Power,
-    /// Sparse iterative solver: Gauss–Seidel sweeps on the inflow
-    /// orientation of `Q`, with a damped-Jacobi fallback (see
-    /// [`crate::iterative`]). `O(nnz)` per sweep and allocation-free in
-    /// the inner loop, so it is the only rung that scales to the
-    /// 10^5–10^6-state chains the k-out-of-n expansion produces; the
-    /// core ladder selects it automatically by state count.
-    Sparse,
 }
 
 /// One state of a chain: a label plus a reward rate.
@@ -515,7 +482,6 @@ impl Ctmc {
             SteadyStateMethod::Gth => gth::stationary_gth_with(self, options),
             SteadyStateMethod::Lu => self.steady_state_lu(options),
             SteadyStateMethod::Power => self.steady_state_power(options),
-            SteadyStateMethod::Sparse => crate::iterative::steady_state_sparse(self, options),
         }
     }
 
@@ -610,6 +576,7 @@ impl Ctmc {
             return Err(options.timeout_error("lu", 0, std::time::Duration::ZERO));
         }
         let n = self.len();
+        crate::error::check_storage("lu", n.saturating_mul(n))?;
         // Solve Q^T x = 0 with the last equation replaced by sum(x) = 1.
         let q = self.generator().to_dense();
         let mut a = DenseMatrix::zeros(n, n);
@@ -913,31 +880,37 @@ mod tests {
     }
 
     #[test]
-    fn power_budget_is_state_count_aware() {
+    fn power_budget_scales_with_the_chain() {
         let opts = SolveOptions::default();
-        // Small chains get the work-scaled budget...
         assert_eq!(opts.power_iteration_budget(2), POWER_WORK_BUDGET / 2);
-        // ...ordinary chains stay work-scaled (the generous floor never
-        // binds below LARGE_CHAIN_STATES because 50M/n is still big)...
-        assert_eq!(
-            opts.power_iteration_budget(LARGE_CHAIN_STATES - 1),
-            POWER_WORK_BUDGET / (LARGE_CHAIN_STATES - 1)
-        );
-        // ...but large chains get only the small floor, so a stalled
-        // power rung hands over to the sparse rung quickly instead of
-        // grinding 1000 expensive sweeps.
-        assert_eq!(opts.power_iteration_budget(100_000_000), MIN_LARGE_POWER_ITERATIONS);
-        assert_eq!(opts.power_iteration_budget(1_000_000), MIN_LARGE_POWER_ITERATIONS);
-        // At the boundary the work-scaled value still wins while it
-        // exceeds the floor.
-        assert_eq!(opts.power_iteration_budget(LARGE_CHAIN_STATES), 5_000);
+        assert_eq!(opts.power_iteration_budget(10_000), 5_000);
+        // Large chains get the floor instead of a degenerate budget.
+        assert_eq!(opts.power_iteration_budget(1_000_000), MIN_POWER_ITERATIONS);
         // Degenerate n=0 guards against division by zero.
         assert_eq!(opts.power_iteration_budget(0), POWER_WORK_BUDGET);
         // An explicit budget wins outright.
         let explicit = SolveOptions { max_iterations: Some(7), ..SolveOptions::default() };
         assert_eq!(explicit.power_iteration_budget(100_000_000), 7);
-        assert_eq!(explicit.sparse_sweep_budget(), 7);
-        assert_eq!(opts.sparse_sweep_budget(), crate::iterative::SPARSE_SWEEP_BUDGET);
+    }
+
+    #[test]
+    fn lu_over_the_storage_bound_fails_typed_before_allocating() {
+        // 3,000 states: a dense 3,000² matrix exceeds the bound, while
+        // the two-wide band GTH needs only 3 × 3,000 entries.
+        let mut b = CtmcBuilder::new();
+        for i in 0..3_000 {
+            b.add_state(format!("s{i}"), 1.0);
+        }
+        for i in 0..2_999 {
+            b.add_transition(i, i + 1, 1.0);
+            b.add_transition(i + 1, i, 2.0);
+        }
+        let c = b.build().unwrap();
+        match c.steady_state(SteadyStateMethod::Lu) {
+            Err(MarkovError::ExceedsStorage { method: "lu", entries: 9_000_000 }) => {}
+            other => panic!("expected ExceedsStorage, got {other:?}"),
+        }
+        assert!(c.steady_state(SteadyStateMethod::Gth).is_ok());
     }
 
     #[test]
@@ -986,12 +959,7 @@ mod tests {
             cancel: Some(token),
         };
         let c = two_state(0.1, 0.9);
-        for method in [
-            SteadyStateMethod::Power,
-            SteadyStateMethod::Lu,
-            SteadyStateMethod::Gth,
-            SteadyStateMethod::Sparse,
-        ] {
+        for method in [SteadyStateMethod::Power, SteadyStateMethod::Lu, SteadyStateMethod::Gth] {
             match c.steady_state_with(method, &opts) {
                 Err(MarkovError::Cancelled { .. }) => {}
                 other => panic!("expected Cancelled for {method:?}, got {other:?}"),
@@ -1033,12 +1001,7 @@ mod tests {
     #[test]
     fn steady_state_with_defaults_matches_steady_state() {
         let c = two_state(2e-3, 0.4);
-        for method in [
-            SteadyStateMethod::Gth,
-            SteadyStateMethod::Lu,
-            SteadyStateMethod::Power,
-            SteadyStateMethod::Sparse,
-        ] {
+        for method in [SteadyStateMethod::Gth, SteadyStateMethod::Lu, SteadyStateMethod::Power] {
             assert_eq!(
                 c.steady_state(method).unwrap(),
                 c.steady_state_with(method, &SolveOptions::default()).unwrap(),

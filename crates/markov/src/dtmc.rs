@@ -133,11 +133,7 @@ impl Dtmc {
         if n == 1 {
             return Ok(vec![1.0]);
         }
-        let mut q = self.matrix.clone();
-        for i in 0..n {
-            q[(i, i)] -= 1.0;
-        }
-        gth::stationary_gth_dense(&q)
+        gth::stationary_gth_stochastic(&self.matrix)
     }
 
     /// Distribution after `steps` steps from `p0`.

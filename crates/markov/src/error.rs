@@ -2,6 +2,22 @@
 
 use std::fmt;
 
+/// Most `f64` entries one elimination may allocate: the band GTH
+/// kernel, dense LU and the dense MTTF and failure-mode solves all
+/// check it before allocating. Every chain of up to 2,048 states fits
+/// at any bandwidth (2,048 rows of 4,095 band columns, 64 MiB); larger
+/// chains fit while their band is narrow enough.
+pub const MAX_ELIMINATION_ENTRIES: usize = 2048 * 4095;
+
+/// [`MarkovError::ExceedsStorage`] unless `entries` fits
+/// [`MAX_ELIMINATION_ENTRIES`].
+pub(crate) fn check_storage(method: &'static str, entries: usize) -> Result<(), MarkovError> {
+    if entries > MAX_ELIMINATION_ENTRIES {
+        return Err(MarkovError::ExceedsStorage { method, entries });
+    }
+    Ok(())
+}
+
 /// Error returned by chain construction and by the numerical solvers.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -57,7 +73,7 @@ pub enum MarkovError {
         /// Human-readable description of what is missing.
         what: String,
     },
-    /// An iterative solver exhausted its iteration budget before
+    /// The power rung exhausted its iteration budget before
     /// reaching the convergence tolerance.
     NotConverged {
         /// Solver name, e.g. `"power"`.
@@ -86,11 +102,21 @@ pub enum MarkovError {
     /// [`Timeout`](MarkovError::Timeout), this is not retryable: the
     /// fallback ladder aborts instead of trying the next rung.
     Cancelled {
-        /// Solver name, e.g. `"sparse"` or `"power"`.
+        /// Solver name, e.g. `"gth"` or `"power"`.
         method: &'static str,
         /// Iterations (or elimination steps) completed before the
         /// cancellation was observed.
         iterations: usize,
+    },
+    /// An elimination would allocate more than
+    /// [`MAX_ELIMINATION_ENTRIES`] `f64` entries, so it was refused
+    /// before allocating. Retryable: the fallback ladder moves on to a
+    /// rung whose storage fits (band GTH on a narrow-band chain).
+    ExceedsStorage {
+        /// Solver name, e.g. `"lu"` or `"gth"`.
+        method: &'static str,
+        /// Entries the elimination would have allocated.
+        entries: usize,
     },
     /// Every rung of the solver fallback ladder failed; carries the
     /// full attempt trail so diagnostics can show why *each* rung
@@ -124,7 +150,7 @@ pub enum MarkovError {
 pub struct SolveAttempt {
     /// Rung name: `"power"`, `"lu"`, or `"gth"`.
     pub method: &'static str,
-    /// Iterations performed, when the rung is iterative (or timed out
+    /// Iterations performed, when the rung iterates (or timed out
     /// mid-iteration); `None` for direct methods.
     pub iterations: Option<usize>,
     /// Residual at the point of failure, when the rung reports one.
@@ -183,6 +209,11 @@ impl fmt::Display for MarkovError {
             MarkovError::Cancelled { method, iterations } => {
                 write!(f, "{method} solve cancelled by the caller after {iterations} iterations")
             }
+            MarkovError::ExceedsStorage { method, entries } => write!(
+                f,
+                "{method} elimination needs {entries} entries, over the storage bound of \
+                 {MAX_ELIMINATION_ENTRIES}"
+            ),
             MarkovError::FallbackExhausted { attempts } => {
                 write!(f, "solver fallback ladder exhausted after {} rung(s)", attempts.len())?;
                 for a in attempts {
@@ -240,7 +271,8 @@ mod tests {
             MarkovError::InvalidOption { what: "epsilon".into() },
             MarkovError::DimensionMismatch { what: "3x2 generator".into() },
             MarkovError::Timeout { method: "power", iterations: 10, elapsed_ms: 31, budget_ms: 30 },
-            MarkovError::Cancelled { method: "sparse", iterations: 17 },
+            MarkovError::Cancelled { method: "gth", iterations: 17 },
+            MarkovError::ExceedsStorage { method: "lu", entries: 1 << 40 },
             MarkovError::FallbackExhausted {
                 attempts: vec![SolveAttempt {
                     method: "gth",

@@ -5,13 +5,29 @@
 //! availability chains whose rates span ten or more orders of magnitude
 //! (FIT-scale failure rates against per-minute repair rates, as in
 //! RAScad models).
+//!
+//! # Band-limited elimination
+//!
+//! GTH eliminates states in a fixed order (`n-1` down to `1`) without
+//! pivoting, so eliminating state `k` only updates entries `(i, j)`
+//! with `q_ik ≠ 0` and `q_kj ≠ 0`. If the generator has lower bandwidth
+//! `bl` and upper bandwidth `bu`, every such entry already lies inside
+//! the band (`i - j ≤ k - j ≤ bl`, `j - i ≤ k - i ≤ bu`): elimination
+//! never fills in outside it. The kernel therefore keeps the generator
+//! in `n × (bl + bu + 1)` band storage and restricts every loop to the
+//! band. Each term it drops is an exact zero of the full-matrix
+//! algorithm, and the pivot order and summation order are unchanged,
+//! so the result is bit-identical to dense GTH. The work is
+//! `O(n · bl · bu)`: linear on the birth–death chains of k-out-of-n
+//! pools (`bl = bu = 1`), cubic only on genuinely dense chains.
 
 use crate::ctmc::{Ctmc, SolveOptions};
 use crate::dense::DenseMatrix;
-use crate::error::MarkovError;
+use crate::error::{check_storage, MarkovError};
+use crate::matrix::SparseMatrix;
 
 /// How many elimination pivots pass between wall-clock checks in
-/// [`stationary_gth_with`]. Each pivot is `O(k^2)` work, so checking
+/// [`stationary_gth_with`]. Each pivot is `O(bl · bu)` work, so checking
 /// every pivot would be noise; every 32nd keeps the overdraft bounded.
 const GTH_CLOCK_STRIDE: usize = 32;
 
@@ -22,10 +38,13 @@ const GTH_CLOCK_STRIDE: usize = 32;
 ///
 /// Returns [`MarkovError::Singular`] if elimination encounters a zero
 /// pivot (which cannot happen for a truly irreducible generator but can
-/// arise from pathological inputs).
+/// arise from pathological inputs), and [`MarkovError::ExceedsStorage`]
+/// when the generator's band does not fit the storage bound.
 pub fn stationary_gth(chain: &Ctmc) -> Result<Vec<f64>, MarkovError> {
-    let q = chain.generator().to_dense();
-    stationary_gth_dense(&q)
+    stationary_gth_matrix(
+        &chain.generator(),
+        &SolveOptions { wall_clock: None, ..SolveOptions::default() },
+    )
 }
 
 /// [`stationary_gth`] bounded by the wall-clock budget in `options`
@@ -36,31 +55,81 @@ pub fn stationary_gth(chain: &Ctmc) -> Result<Vec<f64>, MarkovError> {
 /// The [`stationary_gth`] errors, plus [`MarkovError::Timeout`] when
 /// the budget expires mid-elimination.
 pub fn stationary_gth_with(chain: &Ctmc, options: &SolveOptions) -> Result<Vec<f64>, MarkovError> {
-    let q = chain.generator().to_dense();
-    stationary_gth_dense_with(&q, options)
+    stationary_gth_matrix(&chain.generator(), options)
 }
 
-/// GTH elimination on a dense generator matrix (rows sum to zero,
-/// off-diagonals non-negative).
+/// Stationary vector of a stochastic matrix `p` by GTH on `P − I`,
+/// whose off-diagonal entries are those of `P` (the diagonal is never
+/// read). Shared by [`crate::Dtmc`] and the embedded chain of
+/// [`crate::SemiMarkov`].
+pub(crate) fn stationary_gth_stochastic(p: &DenseMatrix) -> Result<Vec<f64>, MarkovError> {
+    let n = p.rows();
+    let mut trips = Vec::new();
+    for i in 0..n {
+        for (j, &v) in p.row(i).iter().enumerate() {
+            if j != i {
+                trips.push((i, j, v));
+            }
+        }
+    }
+    let q = SparseMatrix::from_triplets(n, p.cols(), &trips);
+    stationary_gth_matrix(&q, &SolveOptions { wall_clock: None, ..SolveOptions::default() })
+}
+
+/// A square matrix in band storage: row `i` keeps columns
+/// `i - bl ..= i + bu` at offsets `0 ..= bl + bu`, so entry `(i, j)`
+/// lives at `data[i * width + j + bl - i]`. Diagonal slots are never
+/// read: GTH re-derives each pivot from the off-diagonal rates.
+struct Band {
+    bl: usize,
+    bu: usize,
+    width: usize,
+    data: Vec<f64>,
+}
+
+impl Band {
+    /// The off-diagonal nonzeros of `q` in band storage, after checking
+    /// the allocation against the storage bound.
+    fn from_matrix(q: &SparseMatrix) -> Result<Band, MarkovError> {
+        let n = q.rows();
+        let entries = || {
+            (0..n).flat_map(|i| {
+                q.row_entries(i)
+                    .filter(move |&(j, v)| j != i && v != 0.0)
+                    .map(move |(j, v)| (i, j, v))
+            })
+        };
+        let (mut bl, mut bu) = (0, 0);
+        for (i, j, _) in entries() {
+            bl = bl.max(i.saturating_sub(j));
+            bu = bu.max(j.saturating_sub(i));
+        }
+        let width = bl + bu + 1;
+        check_storage("gth", n.saturating_mul(width))?;
+        let mut data = vec![0.0; n * width];
+        for (i, j, v) in entries() {
+            data[i * width + j + bl - i] += v;
+        }
+        Ok(Band { bl, bu, width, data })
+    }
+}
+
+/// GTH elimination on a generator matrix (off-diagonals non-negative;
+/// the diagonal is ignored), limited to the matrix's band and bounded
+/// by the wall-clock budget and cancellation token in `options`,
+/// checked every [`GTH_CLOCK_STRIDE`] pivots. `dtmc` and `semi` run it
+/// on `P − I`.
 ///
 /// # Errors
 ///
 /// Returns [`MarkovError::DimensionMismatch`] for a non-square input,
-/// [`MarkovError::EmptyChain`] for a 0×0 input, and
-/// [`MarkovError::Singular`] on a zero pivot.
-pub fn stationary_gth_dense(q: &DenseMatrix) -> Result<Vec<f64>, MarkovError> {
-    stationary_gth_dense_with(q, &SolveOptions { wall_clock: None, ..SolveOptions::default() })
-}
-
-/// [`stationary_gth_dense`] with a wall-clock budget, checked every
-/// [`GTH_CLOCK_STRIDE`] elimination pivots.
-///
-/// # Errors
-///
-/// The [`stationary_gth_dense`] errors, plus [`MarkovError::Timeout`]
-/// when the budget expires mid-elimination.
-pub fn stationary_gth_dense_with(
-    q: &DenseMatrix,
+/// [`MarkovError::EmptyChain`] for a 0×0 input,
+/// [`MarkovError::ExceedsStorage`] when the band does not fit the
+/// storage bound, [`MarkovError::Singular`] on a zero pivot, and
+/// [`MarkovError::Timeout`] / [`MarkovError::Cancelled`] when the
+/// budget expires or the token trips mid-elimination.
+pub fn stationary_gth_matrix(
+    q: &SparseMatrix,
     options: &SolveOptions,
 ) -> Result<Vec<f64>, MarkovError> {
     let n = q.rows();
@@ -78,10 +147,10 @@ pub fn stationary_gth_dense_with(
     let mut span = rascad_obs::span("markov.gth");
     span.record("states", n);
 
-    // Work on a copy holding only the off-diagonal rates; the diagonal is
-    // re-derived as the (positive) row sum of the remaining states, which
-    // is what makes GTH subtraction-free.
-    let mut a = q.clone();
+    // Only the off-diagonal rates are stored; each pivot is re-derived
+    // as the (positive) row sum of the remaining states, which is what
+    // makes GTH subtraction-free.
+    let Band { bl, bu, width: w, data: mut a } = Band::from_matrix(q)?;
 
     // Forward elimination: eliminate states n-1, n-2, ..., 1. `pivots[k]`
     // keeps the total censored exit rate of state k at elimination time,
@@ -102,8 +171,13 @@ pub fn stationary_gth_dense_with(
                 return Err(options.timeout_error("gth", step, elapsed));
             }
         }
+        // Row k's band columns below the diagonal are j in jlo..k; rows
+        // with an entry in column k are i in ilo..k.
+        let (jlo, ilo) = (k.saturating_sub(bl), k.saturating_sub(bu));
+        let (above, rest) = a.split_at_mut(k * w);
+        let row_k = &mut rest[jlo + bl - k..bl];
         // s = total rate out of k into states 0..k.
-        let s: f64 = (0..k).map(|j| a[(k, j)]).sum();
+        let s: f64 = row_k.iter().sum();
         trace.step(step + 1, s);
         if s <= 0.0 || !s.is_finite() {
             trace.finish("singular");
@@ -111,20 +185,21 @@ pub fn stationary_gth_dense_with(
         }
         min_pivot = min_pivot.min(s);
         pivots[k] = s;
-        for j in 0..k {
-            a[(k, j)] /= s;
+        for x in row_k.iter_mut() {
+            *x /= s;
         }
-        for i in 0..k {
-            let aik = a[(i, k)];
+        let row_k = &*row_k;
+        for i in ilo..k {
+            let row_i = &mut above[i * w..(i + 1) * w];
+            let aik = row_i[k + bl - i];
             if aik == 0.0 {
                 continue;
             }
-            for j in 0..k {
-                if i == j {
-                    continue;
-                }
-                let akj = a[(k, j)];
-                a[(i, j)] += aik * akj;
+            // Columns jlo..k of row i. The update also lands on the
+            // diagonal slot (i, i) when it is in range; that slot is
+            // never read, so skipping it would only cost a branch.
+            for (x, &akj) in row_i[jlo + bl - i..k + bl - i].iter_mut().zip(row_k) {
+                *x += aik * akj;
             }
         }
     }
@@ -135,8 +210,8 @@ pub fn stationary_gth_dense_with(
     pi[0] = 1.0;
     for k in 1..n {
         let mut s = 0.0;
-        for i in 0..k {
-            s += pi[i] * a[(i, k)];
+        for i in k.saturating_sub(bu)..k {
+            s += pi[i] * a[i * w + k + bl - i];
         }
         pi[k] = s / pivots[k];
     }
@@ -240,22 +315,26 @@ mod tests {
         rascad_obs::trace::disarm();
     }
 
+    fn no_clock() -> SolveOptions {
+        SolveOptions { wall_clock: None, ..SolveOptions::default() }
+    }
+
     #[test]
     fn gth_single_state() {
-        let q = DenseMatrix::zeros(1, 1);
-        assert_eq!(stationary_gth_dense(&q).unwrap(), vec![1.0]);
+        let q = SparseMatrix::from_triplets(1, 1, &[]);
+        assert_eq!(stationary_gth_matrix(&q, &no_clock()).unwrap(), vec![1.0]);
     }
 
     #[test]
     fn gth_empty_rejected() {
-        let q = DenseMatrix::zeros(0, 0);
-        assert!(matches!(stationary_gth_dense(&q), Err(MarkovError::EmptyChain)));
+        let q = SparseMatrix::from_triplets(0, 0, &[]);
+        assert!(matches!(stationary_gth_matrix(&q, &no_clock()), Err(MarkovError::EmptyChain)));
     }
 
     #[test]
     fn gth_non_square_rejected() {
-        let q = DenseMatrix::zeros(2, 3);
-        match stationary_gth_dense(&q) {
+        let q = SparseMatrix::from_triplets(2, 3, &[]);
+        match stationary_gth_matrix(&q, &no_clock()) {
             Err(MarkovError::DimensionMismatch { what }) => {
                 assert!(what.contains("2x3"), "{what}");
             }
@@ -266,7 +345,111 @@ mod tests {
     #[test]
     fn gth_zero_pivot_detected() {
         // State 1 has no outgoing rate at all: elimination hits s = 0.
-        let q = DenseMatrix::from_rows(&[vec![-1.0, 1.0], vec![0.0, 0.0]]);
-        assert!(matches!(stationary_gth_dense(&q), Err(MarkovError::Singular)));
+        let q = SparseMatrix::from_triplets(2, 2, &[(0, 0, -1.0), (0, 1, 1.0)]);
+        assert!(matches!(stationary_gth_matrix(&q, &no_clock()), Err(MarkovError::Singular)));
+    }
+
+    #[test]
+    fn band_storage_follows_the_generator_band() {
+        // A cycle 0 -> 1 -> 2 -> 3 -> 0 has bl = 3 (the wrap-around
+        // edge) and bu = 1; a birth-death chain has bl = bu = 1.
+        let cycle = SparseMatrix::from_triplets(
+            4,
+            4,
+            &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)],
+        );
+        let band = Band::from_matrix(&cycle).unwrap();
+        assert_eq!((band.bl, band.bu, band.width, band.data.len()), (3, 1, 5, 20));
+        let bd: Vec<_> = (0..9).flat_map(|i| [(i, i + 1, 1.0), (i + 1, i, 2.0)]).collect();
+        let band = Band::from_matrix(&SparseMatrix::from_triplets(10, 10, &bd)).unwrap();
+        assert_eq!((band.bl, band.bu, band.data.len()), (1, 1, 30));
+    }
+
+    #[test]
+    fn band_over_the_storage_bound_fails_typed_before_allocating() {
+        // One long-range edge each way widens a 10^6-state ring's band
+        // to the whole chain: (2n - 1) · n entries, far over the bound.
+        // The bound is checked before the band is allocated, so this
+        // returns at once instead of asking for ~16 TB.
+        let n = 1_000_000;
+        let mut trips: Vec<_> = (0..n - 1).map(|i| (i, i + 1, 1.0)).collect();
+        trips.push((n - 1, 0, 1.0));
+        trips.push((0, n - 1, 1.0));
+        let q = SparseMatrix::from_triplets(n, n, &trips);
+        match stationary_gth_matrix(&q, &no_clock()) {
+            Err(MarkovError::ExceedsStorage { method: "gth", entries }) => {
+                assert_eq!(entries, n * (2 * n - 1));
+                assert!(entries > crate::MAX_ELIMINATION_ENTRIES);
+            }
+            other => panic!("expected ExceedsStorage, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn band_elimination_is_bit_identical_to_dense_elimination() {
+        // The full-matrix kernel this module used before band storage,
+        // kept here as the reference: the band kernel drops only exact
+        // zeros, so both agree bit for bit.
+        fn dense_gth(q: &DenseMatrix) -> Vec<f64> {
+            let n = q.rows();
+            let mut a = q.clone();
+            let mut pivots = vec![0.0; n];
+            for k in (1..n).rev() {
+                let s: f64 = (0..k).map(|j| a[(k, j)]).sum();
+                pivots[k] = s;
+                for j in 0..k {
+                    a[(k, j)] /= s;
+                }
+                for i in 0..k {
+                    let aik = a[(i, k)];
+                    if aik == 0.0 {
+                        continue;
+                    }
+                    for j in 0..k {
+                        if i != j {
+                            a[(i, j)] += aik * a[(k, j)];
+                        }
+                    }
+                }
+            }
+            let mut pi = vec![0.0; n];
+            pi[0] = 1.0;
+            for k in 1..n {
+                let mut s = 0.0;
+                for i in 0..k {
+                    s += pi[i] * a[(i, k)];
+                }
+                pi[k] = s / pivots[k];
+            }
+            let total: f64 = pi.iter().sum();
+            pi.iter().map(|p| p / total).collect()
+        }
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        for case in 0..200 {
+            let mut below = |m: usize| (rng.gen::<u64>() % m as u64) as usize;
+            let n = 2 + below(38);
+            // Banded chains with a random band plus a ring for
+            // irreducibility; rates over ten decades.
+            let (bl, bu) = (1 + below(n - 1), 1 + below(n - 1));
+            let mut b = crate::ctmc::CtmcBuilder::new();
+            for i in 0..n {
+                b.add_state(format!("s{i}"), 1.0);
+            }
+            for i in 0..n {
+                let lo = i.saturating_sub(bl);
+                let hi = (i + bu).min(n - 1);
+                for j in lo..=hi {
+                    if j != i && (j + 1 == i || i + 1 == j || rng.gen_bool(0.4)) {
+                        b.add_transition(i, j, 10f64.powf(rng.gen::<f64>() * 10.0 - 6.0));
+                    }
+                }
+            }
+            let chain = b.build().unwrap();
+            let band = stationary_gth(&chain).unwrap();
+            let dense = dense_gth(&chain.generator().to_dense());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&band), bits(&dense), "case {case}: n={n} bl={bl} bu={bu}");
+        }
     }
 }

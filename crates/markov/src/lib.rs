@@ -66,7 +66,6 @@ pub mod dtmc;
 pub mod error;
 pub mod fingerprint;
 pub mod gth;
-pub mod iterative;
 pub mod lump;
 pub mod matrix;
 pub mod semi;
@@ -76,7 +75,7 @@ pub mod transient;
 pub use absorbing::{AbsorbingAnalysis, ReliabilityCurve};
 pub use ctmc::{CancelToken, Ctmc, CtmcBuilder, SolveOptions, StateId, SteadyStateMethod};
 pub use dtmc::{Dtmc, DtmcBuilder};
-pub use error::{MarkovError, SolveAttempt};
+pub use error::{MarkovError, SolveAttempt, MAX_ELIMINATION_ENTRIES};
 pub use fingerprint::{Fingerprint, StableHasher};
 pub use lump::{
     coarsest_exact_partition, identical_units_product, lump, occupancy_partition, Partition,

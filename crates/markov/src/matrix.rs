@@ -5,7 +5,7 @@
 //! internal matrix representation, instead of the graphical
 //! representation, of the Markov models are generated". This module is
 //! that internal representation: chains are assembled as triplets and
-//! compressed to CSR for the iterative (uniformization) solver.
+//! compressed to CSR for the uniformization and power solvers.
 
 use crate::dense::DenseMatrix;
 
@@ -133,9 +133,9 @@ impl SparseMatrix {
     }
 
     /// [`vec_mul`](Self::vec_mul) writing into a caller-owned buffer
-    /// instead of allocating — the SpMV the iterative hot loops (power
-    /// iteration, uniformization series, Gauss–Seidel residual checks)
-    /// use so a 10^5-state solve does zero allocations per iteration.
+    /// instead of allocating — the SpMV the hot loops (power iteration,
+    /// uniformization series) use so a 10^5-state solve does zero
+    /// allocations per iteration.
     ///
     /// # Panics
     ///

@@ -292,12 +292,7 @@ impl SemiMarkov {
         if n == 1 {
             return Ok(vec![1.0]);
         }
-        // Convert the DTMC to a "generator" Q = P - I and run GTH.
-        let mut q = self.embedded.clone();
-        for i in 0..n {
-            q[(i, i)] -= 1.0;
-        }
-        gth::stationary_gth_dense(&q)
+        gth::stationary_gth_stochastic(&self.embedded)
     }
 
     /// Time-stationary state probabilities (fraction of time in each

@@ -15,7 +15,7 @@
 //! `e^{Qτ}`, then squares it `s = ⌈log2 Λt⌉` times. The kernel is chosen
 //! from the chain's size and `Λt`; DESIGN.md records the crossover.
 
-use crate::ctmc::Ctmc;
+use crate::ctmc::{CancelToken, Ctmc};
 use crate::dense::DenseMatrix;
 use crate::error::MarkovError;
 use crate::matrix::SparseMatrix;
@@ -154,7 +154,24 @@ pub fn solve(
     t: f64,
     opts: TransientOptions,
 ) -> Result<TransientSolution, MarkovError> {
-    solve_inner(chain, p0, t, opts, None)
+    solve_inner(chain, p0, t, opts, None, None)
+}
+
+/// [`solve`] that polls `cancel` every 64 series terms and at every
+/// doubling squaring — the mission step of a request with a deadline.
+///
+/// # Errors
+///
+/// The [`solve`] errors, plus [`MarkovError::Cancelled`] once the token
+/// trips.
+pub fn solve_cancellable(
+    chain: &Ctmc,
+    p0: &[f64],
+    t: f64,
+    opts: TransientOptions,
+    cancel: Option<&CancelToken>,
+) -> Result<TransientSolution, MarkovError> {
+    solve_inner(chain, p0, t, opts, None, cancel)
 }
 
 /// [`solve`] with the kernel fixed by the caller instead of chosen from
@@ -170,8 +187,14 @@ pub fn solve_with(
     opts: TransientOptions,
     kernel: TransientKernel,
 ) -> Result<TransientSolution, MarkovError> {
-    solve_inner(chain, p0, t, opts, Some(kernel))
+    solve_inner(chain, p0, t, opts, Some(kernel), None)
 }
+
+/// Series terms between cancellation polls in [`solve_cancellable`].
+/// One term is one sparse product, so on a 10^5-state pool the poll
+/// comes every ~20 ms of work; small chains pay one atomic load per
+/// 64 products.
+const CANCEL_STRIDE: usize = 64;
 
 /// What a kernel hands back to [`solve_inner`]: the (unnormalized)
 /// distribution at `t`, the expected cumulative reward over `(0, t)` in
@@ -188,6 +211,7 @@ fn solve_inner(
     t: f64,
     opts: TransientOptions,
     forced: Option<TransientKernel>,
+    cancel: Option<&CancelToken>,
 ) -> Result<TransientSolution, MarkovError> {
     check_distribution(p0, chain.len())?;
     if !t.is_finite() || t < 0.0 {
@@ -222,8 +246,8 @@ fn solve_inner(
     span.record("kernel", kernel.name());
 
     let run = match kernel {
-        TransientKernel::Series => series(&uni, p0, &rewards, lt, opts, &mut span)?,
-        TransientKernel::Doubling => doubling(&uni, p0, &rewards, lt, opts, &mut span)?,
+        TransientKernel::Series => series(&uni, p0, &rewards, lt, opts, cancel, &mut span)?,
+        TransientKernel::Doubling => doubling(&uni, p0, &rewards, lt, opts, cancel, &mut span)?,
     };
     rascad_obs::counter("markov.transient.solves", 1);
     rascad_obs::record_value("markov.transient.truncation", run.truncation);
@@ -265,12 +289,18 @@ fn select_kernel(states: usize, lt: f64) -> TransientKernel {
 
 /// The uniformization series: `p(t) = Σ_k w_k p0 Pᵏ` and the cumulative
 /// reward `(1/Λ) Σ_k W_k p0 Pᵏ r` with `W_k = Σ_{j>k} w_j`.
+///
+/// The weights are stored only over their window `[lo, kmax]`. Below
+/// `lo` every `w_k` is zero, so `W_k` is the constant window total and
+/// the point accumulator is left alone; the arithmetic is otherwise the
+/// full-length series', term for term.
 fn series(
     uni: &Uniformized,
     p0: &[f64],
     rewards: &[f64],
     lt: f64,
     opts: TransientOptions,
+    cancel: Option<&CancelToken>,
     span: &mut rascad_obs::Span,
 ) -> Result<KernelRun, MarkovError> {
     let n = p0.len();
@@ -278,36 +308,59 @@ fn series(
     let mut point_acc = vec![0.0; n];
     let mut cum_acc = vec![0.0; n];
 
-    let weights = poisson_weights(lt, opts.epsilon, opts.max_terms)?;
-    // tail[k] = sum_{j > k} w_j  (computed as suffix sums over the
-    // truncated series; truncation error <= epsilon).
-    let kmax = weights.len() - 1;
-    let mut tail = vec![0.0; kmax + 1];
-    let mut run = 0.0;
-    for k in (0..=kmax).rev() {
-        tail[k] = run;
-        run += weights[k];
+    let PoissonWindow { lo, w: weights } = poisson_weights(lt, opts.epsilon, opts.max_terms)?;
+    // tail[k - lo] = sum_{j > k} w_j (computed as suffix sums over the
+    // truncated series; truncation error <= epsilon). Below the window
+    // it stays at `below`, the sum of every weight.
+    let kmax = lo + weights.len() - 1;
+    let mut tail = vec![0.0; weights.len()];
+    let mut below = 0.0;
+    for (t, &w) in tail.iter_mut().zip(&weights).rev() {
+        *t = below;
+        below += w;
     }
-    // tail2[k] = sum_{j >= k} tail[j], for closing the cumulative
+    // tail2[k - lo] = sum_{j >= k} tail[j], for closing the cumulative
     // series when steady state is detected early.
-    let mut tail2 = vec![0.0; kmax + 2];
-    for k in (0..=kmax).rev() {
-        tail2[k] = tail2[k + 1] + tail[k];
+    let mut tail2 = vec![0.0; weights.len() + 1];
+    for i in (0..weights.len()).rev() {
+        tail2[i] = tail2[i + 1] + tail[i];
     }
+    // tail2 at any k: below the window, replays the additions of
+    // `below` from the window's edge down to k, in the same order.
+    let tail2_at = |k: usize| {
+        if k >= lo {
+            return tail2[k - lo];
+        }
+        let mut x = tail2[0];
+        for _ in k..lo {
+            x += below;
+        }
+        x
+    };
 
     let mut steps = 0usize;
     // Scratch iterate reused across every SpMV step so the Poisson
     // series allocates nothing per term.
     let mut next = vec![0.0; n];
-    // Truncation-error series: tail[k] is exactly the Poisson mass not
+    // Truncation-error series: the tail is exactly the Poisson mass not
     // yet captured after term k, i.e. the running truncation error.
     let mut trace = rascad_obs::trace::begin("transient", "truncation", n);
     for k in 0..=kmax {
-        for i in 0..n {
-            point_acc[i] += weights[k] * probs[i];
-            cum_acc[i] += tail[k] * probs[i];
+        if k % CANCEL_STRIDE == 0 && cancel.is_some_and(CancelToken::is_cancelled) {
+            trace.finish("cancelled");
+            return Err(MarkovError::Cancelled { method: "transient", iterations: k });
         }
-        trace.step(k + 1, tail[k]);
+        let tail_k = if k < lo { below } else { tail[k - lo] };
+        if k >= lo {
+            let w = weights[k - lo];
+            for i in 0..n {
+                point_acc[i] += w * probs[i];
+            }
+        }
+        for i in 0..n {
+            cum_acc[i] += tail_k * probs[i];
+        }
+        trace.step(k + 1, tail_k);
         if k < kmax {
             uni.dtmc.vec_mul_into(&probs, &mut next);
             steps += 1;
@@ -317,9 +370,10 @@ fn series(
             let delta: f64 = next.iter().zip(&probs).map(|(a, b)| (a - b).abs()).sum();
             std::mem::swap(&mut probs, &mut next);
             if delta < opts.epsilon * 1e-3 {
+                let tail2_next = tail2_at(k + 1);
                 for i in 0..n {
-                    point_acc[i] += tail[k] * probs[i];
-                    cum_acc[i] += tail2[k + 1] * probs[i];
+                    point_acc[i] += tail_k * probs[i];
+                    cum_acc[i] += tail2_next * probs[i];
                 }
                 break;
             }
@@ -355,6 +409,7 @@ fn doubling(
     rewards: &[f64],
     lt: f64,
     opts: TransientOptions,
+    cancel: Option<&CancelToken>,
     span: &mut rascad_obs::Span,
 ) -> Result<KernelRun, MarkovError> {
     let n = p0.len();
@@ -402,6 +457,10 @@ fn doubling(
     // renormalization removed.
     let mut trace = rascad_obs::trace::begin("transient", "row_drift", n);
     for j in 1..=squarings {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            trace.finish("cancelled");
+            return Err(MarkovError::Cancelled { method: "transient", iterations: j as usize });
+        }
         let ev = e.mul_vec(&v);
         for (x, d) in v.iter_mut().zip(&ev) {
             *x += d;
@@ -487,27 +546,33 @@ pub fn solve_grid(
     span.record("uniformization_rate", uni.rate);
 
     // Per-time Poisson weights and suffix (tail) sums, packed into one
-    // contiguous ragged buffer: series `i` occupies
+    // contiguous ragged buffer: series `i` keeps only its window, in
     // `weights[offsets[i]..offsets[i+1]]`, and `tails` shares the same
-    // layout. One allocation pair for the whole grid instead of two
-    // heap vectors per time point.
+    // layout. Term `k >= los[i]` of series `i` is at
+    // `offsets[i] + k - los[i]`; below the window its weight is zero and
+    // its tail is `totals[i]`. One allocation pair for the whole grid
+    // instead of two heap vectors per time point.
     let mut weights: Vec<f64> = Vec::new();
     let mut offsets: Vec<usize> = Vec::with_capacity(times.len() + 1);
+    let mut los: Vec<usize> = Vec::with_capacity(times.len());
     offsets.push(0);
     let mut kmax = 0usize;
     for &t in times {
-        let appended =
+        let (lo, appended) =
             poisson_weights_into(uni.rate * t, opts.epsilon, opts.max_terms, &mut weights)?;
-        kmax = kmax.max(appended - 1);
+        kmax = kmax.max(lo + appended - 1);
+        los.push(lo);
         offsets.push(weights.len());
     }
     let mut tails = vec![0.0; weights.len()];
+    let mut totals = vec![0.0; times.len()];
     for i in 0..times.len() {
         let mut run = 0.0;
         for k in (offsets[i]..offsets[i + 1]).rev() {
             tails[k] = run;
             run += weights[k];
         }
+        totals[i] = run;
     }
 
     let n = chain.len();
@@ -520,9 +585,13 @@ pub fn solve_grid(
     let mut next = vec![0.0; n];
     for k in 0..=kmax {
         for i in 0..times.len() {
-            let (lo, hi) = (offsets[i], offsets[i + 1]);
-            if k < hi - lo {
-                let (wk, tk) = (weights[lo + k], tails[lo + k]);
+            let (off, lo) = (offsets[i], los[i]);
+            if k < lo + offsets[i + 1] - off {
+                let (wk, tk) = if k < lo {
+                    (0.0, totals[i])
+                } else {
+                    (weights[off + k - lo], tails[off + k - lo])
+                };
                 let pa = &mut point_acc[i * n..(i + 1) * n];
                 for (s, p) in pa.iter_mut().enumerate() {
                     *p += wk * probs[s];
@@ -574,32 +643,41 @@ pub fn solve_grid(
         .collect())
 }
 
-/// Poisson pmf values `w_k = e^{-m} m^k / k!` for `k = 0..=kmax`, where
-/// `kmax` is chosen so the truncated tail mass is below `epsilon`.
+/// A truncated Poisson pmf stored over its window only: `w[i]` is the
+/// weight of term `lo + i`, and every term below `lo` is zero.
+struct PoissonWindow {
+    lo: usize,
+    w: Vec<f64>,
+}
+
+/// Poisson pmf values `w_k = e^{-m} m^k / k!` for `k = lo..=kmax`, where
+/// `lo` and `kmax` are chosen so the truncated mass is below `epsilon`.
 ///
 /// Uses left/right truncation with scaling for large `m` (Fox–Glynn
 /// style, simplified: start at the mode with weight 1, extend both ways,
 /// then normalize by the total).
-fn poisson_weights(m: f64, epsilon: f64, max_terms: usize) -> Result<Vec<f64>, MarkovError> {
+fn poisson_weights(m: f64, epsilon: f64, max_terms: usize) -> Result<PoissonWindow, MarkovError> {
     let mut w = Vec::new();
-    poisson_weights_into(m, epsilon, max_terms, &mut w)?;
-    Ok(w)
+    let (lo, _) = poisson_weights_into(m, epsilon, max_terms, &mut w)?;
+    Ok(PoissonWindow { lo, w })
 }
 
-/// Appends the truncated Poisson pmf for mean `m` onto `out` and returns
-/// the number of terms appended. Lets grid solvers pack many series into
-/// one contiguous buffer instead of allocating a `Vec` per time point.
+/// Appends the window of the truncated Poisson pmf for mean `m` onto
+/// `out` and returns its first term's index `lo` and the number of
+/// weights appended. Lets grid solvers pack many series into one
+/// contiguous buffer instead of allocating a `Vec` per time point.
 fn poisson_weights_into(
     m: f64,
     epsilon: f64,
     max_terms: usize,
     out: &mut Vec<f64>,
-) -> Result<usize, MarkovError> {
+) -> Result<(usize, usize), MarkovError> {
     let start = out.len();
     if m <= 0.0 {
         out.push(1.0);
-        return Ok(1);
+        return Ok((0, 1));
     }
+    let mut lo = 0;
     if m < 400.0 {
         // Direct recurrence is safe: e^{-400} is representable.
         out.reserve(64);
@@ -621,30 +699,30 @@ fn poisson_weights_into(
         }
     } else {
         // Scaled: weights relative to the mode, normalized at the end.
-        let mode = m.floor();
+        let mode = m.floor() as usize;
         let spread = (6.0 * m.sqrt()).ceil() as usize + 40;
-        let lo = (mode as isize - spread as isize).max(0) as usize;
-        let hi = mode as usize + spread;
+        lo = mode.saturating_sub(spread);
+        let hi = mode + spread;
         if hi - lo > max_terms {
             return Err(MarkovError::InvalidOption {
                 what: format!("poisson series for m={m} exceeded {max_terms} terms"),
             });
         }
-        out.resize(start + hi + 1, 0.0);
+        out.resize(start + hi - lo + 1, 0.0);
         let w = &mut out[start..];
-        w[mode as usize] = 1.0;
-        for k in (mode as usize + 1)..=hi {
-            w[k] = w[k - 1] * m / k as f64;
+        w[mode - lo] = 1.0;
+        for k in (mode + 1)..=hi {
+            w[k - lo] = w[k - lo - 1] * m / k as f64;
         }
-        for k in (lo..mode as usize).rev() {
-            w[k] = w[k + 1] * (k as f64 + 1.0) / m;
+        for k in (lo..mode).rev() {
+            w[k - lo] = w[k - lo + 1] * (k as f64 + 1.0) / m;
         }
         let total: f64 = w.iter().sum();
         for x in w.iter_mut() {
             *x /= total;
         }
     }
-    Ok(out.len() - start)
+    Ok((lo, out.len() - start))
 }
 
 /// Poisson pmf `w_0..=w_K` for a mean `m <= 1`, truncated at the first
@@ -864,8 +942,7 @@ mod tests {
     #[test]
     fn poisson_weights_sum_to_one() {
         for &m in &[0.5, 5.0, 50.0, 399.0, 401.0, 5000.0] {
-            let w = poisson_weights(m, 1e-12, 10_000_000).unwrap();
-            let s: f64 = w.iter().sum();
+            let s: f64 = poisson_weights(m, 1e-12, 10_000_000).unwrap().w.iter().sum();
             assert!((s - 1.0).abs() < 1e-9, "m={m}, sum={s}");
         }
     }

@@ -113,10 +113,11 @@ fn admission_sheds_with_retry_after_when_full() {
     });
     let spec = escape(&spec_dsl());
 
-    // Fill the slot with a big chain bounded by a 3 s deadline: the
-    // cancellation machinery keeps the slot busy for a deterministic
-    // window, then returns a typed 504 — no dependence on raw solver
-    // speed in debug builds.
+    // Fill the slot with a big chain bounded by a 3 s deadline: its
+    // steady state is quick, but its mission step runs until the
+    // cancellation machinery stops it, so the slot stays busy for a
+    // deterministic window, then returns a typed 504 — no dependence on
+    // raw solver speed in debug builds.
     let addr = srv.addr;
     let big = escape(&spec_dsl().replace("quantity = 2", "quantity = 100000"));
     let holder = std::thread::spawn(move || {
@@ -146,7 +147,8 @@ fn admission_sheds_with_retry_after_when_full() {
 fn deadline_on_a_large_chain_is_a_typed_504_within_twice_the_budget() {
     let srv = default_server();
     // quantity = 100000 with redundancy expands birth-death style to a
-    // ~10^5-state chain: seconds of sparse solve, far beyond 50 ms.
+    // ~10^5-state chain: its 8,760 h mission series runs far beyond
+    // 50 ms.
     let big = escape(&spec_dsl().replace("quantity = 2", "quantity = 100000"));
     let started = std::time::Instant::now();
     let (status, _, body) =
@@ -169,6 +171,42 @@ fn deadline_on_a_large_chain_is_a_typed_504_within_twice_the_budget() {
     assert_eq!(status, 200, "{body}");
 }
 
+/// Posts `spec` with `extra` body fields and asserts a typed `deadline`
+/// 504 within the deadline tests' "2× budget plus slack" bound.
+fn assert_deadline_504(addr: std::net::SocketAddr, spec: &str, extra: &str) {
+    let started = Instant::now();
+    let body = format!(r#"{{"spec":"{}",{extra}}}"#, escape(spec));
+    let (status, _, body) = request(addr, "POST", "/v1/solve", &body);
+    let elapsed = started.elapsed();
+    assert_eq!(status, 504, "{body}");
+    let v = json::parse(&body).unwrap();
+    assert_eq!(v.get("error").unwrap().get("kind").unwrap().as_str(), Some("deadline"), "{body}");
+    assert!(elapsed < Duration::from_millis(2000), "cancellation took {elapsed:?}");
+}
+
+#[test]
+fn mission_step_honours_the_request_deadline() {
+    // A 2000-unit pool: steady state takes milliseconds, the mission
+    // step (uniformization series, MTTF, reliability curve) seconds.
+    // The series polls the request's token, so the 50 ms deadline ends
+    // it typed instead of answering 200 seconds later.
+    let srv = default_server();
+    let pool = spec_dsl().replace("quantity = 2", "quantity = 2000");
+    assert_deadline_504(srv.addr, &pool, r#""deadline_ms":50"#);
+}
+
+#[test]
+fn lu_on_a_large_pool_falls_through_to_gth_instead_of_allocating() {
+    // Dense LU on a 10^5-unit pool would ask for 80 GB. It is refused
+    // before allocating, GTH solves the steady state, and the request
+    // ends in its mission step at the deadline, with the daemon intact.
+    let srv = default_server();
+    let big = spec_dsl().replace("quantity = 2", "quantity = 100000");
+    assert_deadline_504(srv.addr, &big, r#""method":"lu","deadline_ms":400"#);
+    let (status, _, _) = request(srv.addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+}
+
 #[test]
 fn metrics_page_validates_and_counts_requests() {
     let srv = default_server();
@@ -187,8 +225,8 @@ fn graceful_shutdown_drains_in_flight_requests() {
     let srv = TestServer::start(ServeConfig::default());
     let addr = srv.addr;
     // An in-flight request with a deterministic ~1.5 s runtime: a big
-    // chain under a best-effort deadline degrades to a 200 instead of
-    // depending on debug-build solver speed.
+    // chain whose mission step outlasts a best-effort deadline degrades
+    // to a 200 instead of depending on debug-build solver speed.
     let big = escape(&spec_dsl().replace("quantity = 2", "quantity = 100000"));
     let inflight = std::thread::spawn(move || {
         request(

@@ -146,10 +146,10 @@ cargo run --offline -q -p rascad-cli -- bench --sweep --quick \
 cargo run --offline -q -p rascad-cli -- bench --validate target/bench_sweep_tn.json
 
 # Large-state-space smoke: a fresh quick run must solve the 10^4-state
-# chain on the sparse rung with a certified ok residual. The validator
-# gates the machine-independent claims outright (sparse-rung
-# certificate < 1e-9, occupancy lump to n+1 states, lump proof within
-# 1e-9, bit-identical repeats); timings are never gated across hosts.
+# chain by band GTH with a certified ok residual. The validator gates
+# the machine-independent claims outright (GTH certificate < 1e-9,
+# occupancy lump to n+1 states, lump proof within 1e-9, bit-identical
+# repeats); timings are never gated across hosts.
 echo "==> bench large state space (quick smoke)"
 cargo run --offline -q -p rascad-cli -- bench --large --quick \
     --label large-smoke --out target/bench_large_smoke.json > /dev/null
@@ -158,7 +158,8 @@ cargo run --offline -q -p rascad-cli -- bench --validate target/bench_large_smok
 # Serve smoke: boot the daemon on an ephemeral port, drive the
 # store -> solve -> metrics path over real TCP, then SIGTERM it and
 # require a clean drain (exit 0). A 50 ms deadline on a 10^5-state
-# chain must come back as a typed 504 without taking the service down.
+# chain (steady state in milliseconds, mission step far longer) must
+# come back as a typed 504 without taking the service down.
 echo "==> serve smoke (store, solve, deadline 504, metrics, keep-alive, SIGTERM drain)"
 cargo build --offline -q -p rascad-cli
 rm -f target/ci_serve_out.txt target/ci_serve_err.txt target/ci_serve_final.prom

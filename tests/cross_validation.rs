@@ -56,7 +56,7 @@ fn gth_and_lu_agree_within_paper_bar_on_all_reference_models() {
 #[test]
 fn three_numeric_methods_agree_on_the_cluster_chain() {
     // GTH (direct, subtraction-free), LU (direct, pivoted), and power
-    // iteration (iterative on the uniformized DTMC) are three fully
+    // iteration (on the uniformized DTMC) are three fully
     // independent numerical paths; on a well-conditioned chain they
     // must agree far below the paper's bar.
     let spec = cluster::two_node_cluster(cluster::ClusterConfig::default());

@@ -217,7 +217,7 @@ fn claim_full_measure_list() {
 
     let mut previous = 1.0;
     for t in [24.0, 168.0, 720.0, 2190.0, 8760.0, 43_800.0] {
-        let iv = interval_measures(&model, t).unwrap();
+        let iv = interval_measures(&model, t, None).unwrap();
         let a = iv.interval_availability;
         assert!(a <= previous && a >= ss.availability, "T {t}: {a} after {previous}");
         previous = a;
@@ -228,7 +228,7 @@ fn claim_full_measure_list() {
     }
 
     let t = 8760.0;
-    let rel = reliability_measures(&model, t).unwrap();
+    let rel = reliability_measures(&model, t, None).unwrap();
     assert!(rel.mttf_hours.is_finite() && rel.mttf_hours > 0.0, "{}", rel.mttf_hours);
     let r = rel.reliability_at_mission;
     assert!(r > 0.0 && r < 1.0, "{r}");
