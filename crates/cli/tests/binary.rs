@@ -56,6 +56,29 @@ fn pipeline_library_to_solve() {
 }
 
 #[test]
+fn three_thousand_unit_pool_solves_its_mttf() {
+    // The dense −Q_UU of this pool (3,000 up states, 9·10^6 entries)
+    // was over the storage bound; the band elimination solves it in
+    // linear time. The MTTF does not depend on the mission time, so a
+    // one-hour mission keeps the interval series short.
+    let path = std::env::temp_dir().join("rascad_binary_test_pool_3000.rascad");
+    let spec = "global {\n    mission_time = 1 h\n}\n\ndiagram \"Pool\" {\n    block \"Units\" {\n        \
+                quantity = 3000\n        min_quantity = 1\n        mtbf = 10000 h\n    }\n}\n";
+    std::fs::write(&path, spec).unwrap();
+    let p = path.to_str().unwrap();
+    let (ok, report, stderr) = rascad(&["solve", p]);
+    assert!(ok, "{stderr}");
+    assert!(
+        report.contains("System MTTF                      : beyond f64 (> 1.8e308 h)"),
+        "{report}"
+    );
+    let (ok, modes, stderr) = rascad(&["modes", p, "Units"]);
+    assert!(ok, "{stderr}");
+    assert!(modes.contains("PF3000           100.000%"), "{modes}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn missing_file_is_a_clean_error() {
     let (ok, _, stderr) = rascad(&["solve", "/definitely/not/here.rascad"]);
     assert!(!ok);

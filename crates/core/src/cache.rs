@@ -62,8 +62,11 @@ pub fn compute_mission_measures(
     mission_hours: f64,
     cancel: Option<&CancelToken>,
 ) -> Result<MissionMeasures, CoreError> {
-    let iv = interval_measures(model, mission_hours, cancel)?;
+    // Reliability first: its MTTF elimination is the step that can
+    // fail typed (storage bound, no path down), and it then fails
+    // before the interval series spends the horizon.
     let rel = reliability_measures(model, mission_hours, cancel)?;
+    let iv = interval_measures(model, mission_hours, cancel)?;
     Ok(MissionMeasures {
         interval_availability: iv.interval_availability,
         reliability_at_mission: rel.reliability_at_mission,

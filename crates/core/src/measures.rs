@@ -201,8 +201,9 @@ pub fn interval_measures(
 }
 
 /// Computes reliability measures with the mission time `T`, polling
-/// `cancel` before the MTTF solve (a dense elimination it cannot
-/// interrupt) and inside the reliability curve.
+/// `cancel` before the MTTF solve (a band elimination it does not
+/// interrupt, linear in a pool's size) and inside the reliability
+/// curve. An MTTF beyond `f64::MAX` is `f64::INFINITY`.
 ///
 /// # Errors
 ///

@@ -5,9 +5,20 @@ use std::fmt::Write as _;
 
 use crate::hierarchy::SystemSolution;
 
+/// An MTTF in hours: fixed-point below 10^9 h, scientific from there,
+/// and a plain statement past `f64::MAX`.
+fn mttf_text(hours: f64) -> String {
+    match hours {
+        f64::INFINITY => "beyond f64 (> 1.8e308 h)".to_string(),
+        h if h >= 1e9 => format!("{h:.4e} h"),
+        h => format!("{h:.1} h"),
+    }
+}
+
 /// Renders a human-readable availability report for a solved system.
 ///
-/// A clean solve renders byte-identically to previous releases. A
+/// A clean solve renders byte-identically to previous releases, except
+/// that an MTTF of 10^9 h or more prints in scientific notation. A
 /// degraded (best-effort) solve adds a `PARTIAL RESULT` banner with the
 /// availability bounds after the headline measures, and a failure table
 /// after the block table — existing lines are never reworded.
@@ -40,7 +51,7 @@ pub fn system_report(title: &str, sol: &SystemSolution) -> String {
         m.mission_hours, m.interval_availability
     );
     let _ = writeln!(out, "Reliability at mission time      : {:.6}", m.reliability_at_mission);
-    let _ = writeln!(out, "System MTTF                      : {:.1} h", m.mttf_hours);
+    let _ = writeln!(out, "System MTTF                      : {}", mttf_text(m.mttf_hours));
     let _ = writeln!(out);
     let _ = writeln!(
         out,
@@ -150,6 +161,15 @@ mod tests {
         assert!(r.contains("Sys/A"));
         assert!(r.contains("Sys/B"));
         assert!(r.contains("Interval availability"));
+    }
+
+    #[test]
+    fn mttf_prints_fixed_then_scientific_then_beyond_f64() {
+        assert_eq!(mttf_text(12_345.67), "12345.7 h");
+        assert_eq!(mttf_text(999_999_999.0), "999999999.0 h");
+        assert_eq!(mttf_text(1e9), "1.0000e9 h");
+        assert_eq!(mttf_text(4.239_912e136), "4.2399e136 h");
+        assert_eq!(mttf_text(f64::INFINITY), "beyond f64 (> 1.8e308 h)");
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Closed-form oracle for k-out-of-n pools: band GTH against the
-//! birth–death product form.
+//! Closed-form oracles for k-out-of-n pools: band GTH against the
+//! birth–death product form, and the band-elimination MTTF against the
+//! birth–death first-passage sum.
 //!
 //! A pool of more than `BIRTH_DEATH_MIN_UNITS` units is a birth–death
 //! chain on failure levels `0..=N`, so its stationary distribution is
 //! `π_j ∝ Π_{i<j} b_i / d_{i+1}` with `b_i` the failure rate out of
-//! level `i` and `d_i` the repair rate out of it. The oracle evaluates
-//! that product in log space, with compensated summation, from the
-//! generated chain's own rates: it checks the solver, not the
-//! generator's rate formulas.
+//! level `i` and `d_i` the repair rate out of it. The mean time from
+//! level 0 to the first down level `u` is
+//! `Σ_{i<u} Σ_{j≤i} π_j / (b_i π_i)`. The oracles evaluate both in log
+//! space, with compensated summation, from the generated chain's own
+//! rates: they check the solver, not the generator's rate formulas.
 
 #![allow(clippy::cast_precision_loss)]
 
@@ -43,9 +45,10 @@ impl Sum {
     }
 }
 
-/// `ln π_j` of a birth–death chain whose states are its levels in
-/// order; panics if any transition is not between neighbours.
-fn log_product_form(chain: &Ctmc) -> Vec<f64> {
+/// Birth and death rates of each level of a birth–death chain whose
+/// states are its levels in order; panics if any transition is not
+/// between neighbours.
+fn rates(chain: &Ctmc) -> (Vec<f64>, Vec<f64>) {
     let n = chain.len();
     let (mut birth, mut death) = (vec![0.0; n], vec![0.0; n]);
     for t in chain.transitions() {
@@ -56,6 +59,14 @@ fn log_product_form(chain: &Ctmc) -> Vec<f64> {
             death[t.from] += t.rate;
         }
     }
+    (birth, death)
+}
+
+/// `ln π_j` of a birth–death chain whose states are its levels in
+/// order.
+fn log_product_form(chain: &Ctmc) -> Vec<f64> {
+    let n = chain.len();
+    let (birth, death) = rates(chain);
     let mut acc = Sum::default();
     let mut log_pi = vec![0.0; n];
     for j in 1..n {
@@ -117,4 +128,55 @@ fn band_gth_matches_the_birth_death_product_form() {
         }
     }
     eprintln!("worst relative error: state {worst_state:.1e}, unavailability {worst_unavail:.1e}");
+}
+
+/// `ln` of the mean time from level 0 to the first down level of a
+/// birth–death chain: `Σ_{i<u} Σ_{j≤i} π_j / (b_i π_i)` with the
+/// unnormalised `π` of the up levels, all in log space.
+fn log_mttf(chain: &Ctmc) -> f64 {
+    let (birth, death) = rates(chain);
+    let u = chain.up_states().len();
+    assert_eq!(chain.up_states(), (0..u).collect::<Vec<_>>());
+    let mut acc = Sum::default();
+    let mut log_pi = vec![0.0; u];
+    for j in 1..u {
+        acc.add(birth[j - 1].ln());
+        acc.add(-death[j].ln());
+        log_pi[j] = acc.value();
+    }
+    let terms =
+        (0..u).map(|i| log_sum_exp(log_pi[..=i].iter().copied()) - log_pi[i] - birth[i].ln());
+    log_sum_exp(terms.collect::<Vec<_>>().into_iter())
+}
+
+#[test]
+fn band_mttf_matches_the_birth_death_first_passage_sum() {
+    let globals = GlobalParams::default();
+    let ln_max = f64::MAX.ln();
+    let (mut worst, mut finite, mut beyond) = (0.0f64, 0, 0);
+    for n in 9u32..=800 {
+        let mut ks = vec![1, n / 2, n * 9 / 10, n - 1];
+        ks.dedup();
+        for k in ks {
+            let params = BlockParams::new("Pool", n, k).with_mtbf(Hours(10_000.0));
+            let model = generate_block(&params, &globals).unwrap();
+            let got = rascad_markov::absorbing::mttf(&model.chain, model.ok_state()).unwrap().mttf;
+            let want = log_mttf(&model.chain);
+            if want < ln_max - 1e-6 {
+                let rel = (got - want.exp()).abs() / want.exp();
+                worst = worst.max(rel);
+                assert!(
+                    rel <= 1e-10,
+                    "N={n} K={k}: {got:e} vs 10^{:.3} ({rel:e})",
+                    want / 10f64.ln()
+                );
+                finite += 1;
+            } else {
+                let log10 = want / 10f64.ln();
+                assert!(got.is_infinite(), "N={n} K={k}: {got:e}, oracle 10^{log10:.1}");
+                beyond += 1;
+            }
+        }
+    }
+    eprintln!("MTTF: worst relative error {worst:.1e} on {finite} pools; {beyond} beyond f64");
 }

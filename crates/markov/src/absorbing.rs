@@ -7,8 +7,9 @@
 //! to first system failure.
 
 use crate::ctmc::{CancelToken, Ctmc, CtmcBuilder, StateId};
-use crate::dense::DenseMatrix;
-use crate::error::{check_storage, MarkovError};
+use crate::error::MarkovError;
+use crate::gth;
+use crate::matrix::SparseMatrix;
 use crate::transient::{self, TransientOptions};
 
 /// Reliability measures of a chain whose down states are absorbing.
@@ -58,27 +59,30 @@ pub fn make_absorbing(chain: &Ctmc) -> Ctmc {
 /// Computes the MTTF from an initial distribution concentrated on state
 /// `start` (usually the all-working `Ok` state).
 ///
-/// Solves `(-Q_UU) m = 1` where `Q_UU` is the generator restricted to up
-/// states and `m` the vector of expected absorption times.
+/// Solves `(-Q_UU) m = 1`, where `Q_UU` is the generator restricted to
+/// up states and `m` the vector of expected absorption times, by GTH
+/// elimination on the up states' band with their total rate into the
+/// down states as an exit column ([`crate::gth`]): subtraction-free,
+/// `O(n)` on a k-out-of-n pool. An MTTF beyond `f64::MAX` is
+/// `Ok(f64::INFINITY)`.
 ///
 /// # Errors
 ///
 /// * [`MarkovError::MissingStates`] if the chain has no up or no down
 ///   states, or if `start` is not an up state.
-/// * [`MarkovError::ExceedsStorage`] if the dense `Q_UU` does not fit
-///   [`crate::MAX_ELIMINATION_ENTRIES`].
+/// * [`MarkovError::ExceedsStorage`] if the up states' band does not
+///   fit [`crate::MAX_ELIMINATION_ENTRIES`].
 /// * [`MarkovError::Singular`] if some up state cannot reach any down
 ///   state (MTTF would be infinite).
 pub fn mttf(chain: &Ctmc, start: StateId) -> Result<AbsorbingAnalysis, MarkovError> {
     let (up_states, down_states, start_pos) = split_states(chain, start)?;
-    let (a, _) = minus_q_uu(chain, &up_states)?;
-    let ones = vec![1.0; up_states.len()];
-    let m = a.solve(&ones)?;
-    let value = m[start_pos];
-    if !value.is_finite() || value < 0.0 {
-        return Err(MarkovError::Singular);
+    // Column 0: the rate into any down state; column 1: unit time.
+    let (q, mut cols) = up_rates(chain, &up_states, 2, |_| 0);
+    for row in cols.chunks_mut(2) {
+        row[1] = 1.0;
     }
-    Ok(AbsorbingAnalysis { mttf: value, up_states, down_states })
+    let m = gth::absorbing_gth(&q, &cols, 1, "mttf")?;
+    Ok(AbsorbingAnalysis { mttf: m[2 * start_pos + 1], up_states, down_states })
 }
 
 /// The up and down states of `chain` and the position of `start` among
@@ -103,39 +107,39 @@ fn split_states(
     Ok((up_states, down_states, start_pos))
 }
 
-/// The dense `−Q_UU` over `up_states`, and each original state's
-/// position among them (`usize::MAX` for down states). The storage
-/// bound is checked before the matrix is allocated.
-fn minus_q_uu(
+/// The rates among `up_states`, indexed by position, and `nc` columns
+/// per up state holding its rates into the down states: a rate into
+/// down state `d` adds to column `column(d)`.
+fn up_rates(
     chain: &Ctmc,
     up_states: &[StateId],
-) -> Result<(DenseMatrix, Vec<usize>), MarkovError> {
+    nc: usize,
+    column: impl Fn(StateId) -> usize,
+) -> (SparseMatrix, Vec<f64>) {
     let nu = up_states.len();
-    check_storage("mttf", nu.saturating_mul(nu))?;
     let mut pos = vec![usize::MAX; chain.len()];
     for (i, &s) in up_states.iter().enumerate() {
         pos[s] = i;
     }
-    let mut a = DenseMatrix::zeros(nu, nu);
-    for t in chain.transitions() {
-        let pf = pos[t.from];
-        if pf == usize::MAX {
-            continue;
-        }
-        a[(pf, pf)] += t.rate; // -( -sum of exit rates )
-        let pt = pos[t.to];
-        if pt != usize::MAX {
-            a[(pf, pt)] -= t.rate;
+    let mut trips = Vec::new();
+    let mut cols = vec![0.0; nu * nc];
+    for t in chain.transitions().iter().filter(|t| pos[t.from] != usize::MAX) {
+        match pos[t.to] {
+            usize::MAX => cols[pos[t.from] * nc + column(t.to)] += t.rate,
+            to => trips.push((pos[t.from], to, t.rate)),
         }
     }
-    Ok((a, pos))
+    (SparseMatrix::from_triplets(nu, nu, &trips), cols)
 }
 
 /// Probability that the *first* system failure lands in each down
 /// state, starting from `start` — failure-mode attribution.
 ///
-/// Solves `B = (−Q_UU)⁻¹ Q_UD` row by row: entry `(u, d)` is the
-/// probability of being absorbed in down state `d` from up state `u`.
+/// Computes `B = (−Q_UU)⁻¹ Q_UD` by the elimination [`mttf`] runs, with
+/// one exit column per down state entered straight from an up state
+/// (the others cannot be a first failure and get probability 0): entry
+/// `(u, d)` is the probability of being absorbed in down state `d` from
+/// up state `u`.
 ///
 /// Returns `(down_state_id, probability)` pairs summing to 1, sorted by
 /// probability descending.
@@ -145,23 +149,21 @@ fn minus_q_uu(
 /// Same conditions as [`mttf`].
 pub fn failure_modes(chain: &Ctmc, start: StateId) -> Result<Vec<(StateId, f64)>, MarkovError> {
     let (up_states, down_states, start_pos) = split_states(chain, start)?;
-    let (a, pos) = minus_q_uu(chain, &up_states)?;
-    let nu = up_states.len();
-    let mut out = Vec::with_capacity(down_states.len());
-    for &d in &down_states {
-        // Right-hand side: rates from each up state into d.
-        let mut b = vec![0.0; nu];
-        for t in chain.transitions() {
-            if t.to == d {
-                let pf = pos[t.from];
-                if pf != usize::MAX {
-                    b[pf] += t.rate;
-                }
-            }
+    let up = |s: StateId| chain.states()[s].reward > 0.0;
+    let (mut column, mut nc) = (vec![usize::MAX; chain.len()], 0);
+    for t in chain.transitions() {
+        if up(t.from) && !up(t.to) && column[t.to] == usize::MAX {
+            column[t.to] = nc;
+            nc += 1;
         }
-        let x = a.solve(&b)?;
-        out.push((d, x[start_pos].clamp(0.0, 1.0)));
     }
+    let (q, cols) = up_rates(chain, &up_states, nc, |d| column[d]);
+    let b = gth::absorbing_gth(&q, &cols, nc, "mttf")?;
+    let row = &b[start_pos * nc..(start_pos + 1) * nc];
+    let mut out: Vec<(StateId, f64)> = down_states
+        .iter()
+        .map(|&d| (d, row.get(column[d]).map_or(0.0, |p| p.clamp(0.0, 1.0))))
+        .collect();
     // Normalize away roundoff and sort by contribution.
     let total: f64 = out.iter().map(|&(_, p)| p).sum();
     if total > 0.0 {
@@ -362,23 +364,73 @@ mod tests {
         assert!((reliability_at(&c, 0, 0.0).unwrap() - 1.0).abs() < 1e-15);
     }
 
-    #[test]
-    fn dense_solves_over_the_storage_bound_fail_typed() {
-        // 3,000 up states and one down state: the dense −Q_UU would hold
-        // 9·10^6 entries, over the bound, so both solves refuse before
-        // allocating.
+    /// Levels `0..=3000` of a birth–death chain, `0..3000` up and level
+    /// 3000 down, failing at `lambda` and repaired at `mu` per level.
+    fn three_thousand_levels(lambda: f64, mu: f64) -> Ctmc {
         let mut b = CtmcBuilder::new();
         for i in 0..=3_000 {
             b.add_state(format!("L{i}"), if i < 3_000 { 1.0 } else { 0.0 });
         }
         for i in 0..3_000 {
-            b.add_transition(i, i + 1, 1e-3);
-            b.add_transition(i + 1, i, 1.0);
+            b.add_transition(i, i + 1, lambda);
+            b.add_transition(i + 1, i, mu);
         }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn three_thousand_level_chains_solve_on_the_band() {
+        // A dense −Q_UU would hold 9·10^6 entries, over the storage
+        // bound; the band holds 3·3,000. With failure at 1 and repair at
+        // r = 10^-3 the birth–death MTTF from level 0 is
+        // Σ_{i<3000} Σ_{t≤i} r^t = Σ_i (1 − r^{i+1}) / (1 − r).
+        let r: f64 = 1e-3;
+        let want: f64 = (0..3_000).map(|i| (1.0 - r.powi(i + 1)) / (1.0 - r)).sum();
+        let drifting = three_thousand_levels(1.0, r);
+        let got = mttf(&drifting, 0).unwrap().mttf;
+        assert!((got - want).abs() / want < 1e-12, "{got} vs {want}");
+        assert_eq!(failure_modes(&drifting, 0).unwrap(), vec![(3_000, 1.0)]);
+        // Failure at 10^-3 against repair at 1: the same sum with
+        // r = 10^3, ~10^8997 h, beyond f64.
+        let held = three_thousand_levels(1e-3, 1.0);
+        assert!(mttf(&held, 0).unwrap().mttf.is_infinite());
+        assert_eq!(failure_modes(&held, 0).unwrap(), vec![(3_000, 1.0)]);
+    }
+
+    #[test]
+    fn wide_band_over_the_storage_bound_fails_typed() {
+        // One long-range edge widens the 3,000 up states' band to the
+        // whole chain: 3,000 · 5,999 entries plus the columns (two
+        // `f64`s per entry; MTTF carries two, failure modes one), over
+        // the bound, refused before allocating.
+        let mut b = CtmcBuilder::new();
+        for i in 0..=3_000 {
+            b.add_state(format!("L{i}"), if i < 3_000 { 1.0 } else { 0.0 });
+        }
+        for i in 0..3_000 {
+            b.add_transition(i, i + 1, 1.0);
+        }
+        b.add_transition(2_999, 0, 1.0);
+        b.add_transition(0, 2_999, 1.0);
         let chain = b.build().unwrap();
-        let refused = MarkovError::ExceedsStorage { method: "mttf", entries: 9_000_000 };
-        assert_eq!(mttf(&chain, 0).unwrap_err(), refused);
-        assert_eq!(failure_modes(&chain, 0).unwrap_err(), refused);
+        let refused = |entries| MarkovError::ExceedsStorage { method: "mttf", entries };
+        assert_eq!(mttf(&chain, 0).unwrap_err(), refused(3_000 * 6_003));
+        assert_eq!(failure_modes(&chain, 0).unwrap_err(), refused(3_000 * 6_001));
+    }
+
+    #[test]
+    fn up_state_with_no_path_down_is_singular() {
+        // `trap` is up and never leaves: the MTTF from it is infinite
+        // by structure, not by size, so the solve reports Singular.
+        let mut b = CtmcBuilder::new();
+        let ok = b.add_state("ok", 1.0);
+        let trap = b.add_state("trap", 1.0);
+        let down = b.add_state("down", 0.0);
+        b.add_transition(ok, down, 1.0);
+        b.add_transition(down, trap, 1.0);
+        let chain = b.build().unwrap();
+        assert_eq!(mttf(&chain, ok).unwrap_err(), MarkovError::Singular);
+        assert_eq!(failure_modes(&chain, ok).unwrap_err(), MarkovError::Singular);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use crate::dense::DenseMatrix;
 use crate::error::MarkovError;
 use crate::gth;
+use crate::matrix::SparseMatrix;
 
 /// A validated discrete-time Markov chain.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,8 +160,37 @@ impl Dtmc {
         Ok(p)
     }
 
+    /// The states outside `absorbing`, the probabilities among them (no
+    /// self-loops: elimination re-derives `1 − p_ii` as a sum), and `nc`
+    /// columns per transient state, column `column(d)` receiving its
+    /// probability into absorbing state `d`.
+    fn transient_block(
+        &self,
+        absorbing: &[usize],
+        nc: usize,
+        column: impl Fn(usize) -> usize,
+    ) -> Result<(Vec<usize>, SparseMatrix, Vec<f64>), MarkovError> {
+        if absorbing.is_empty() {
+            return Err(MarkovError::MissingStates { what: "no absorbing states".into() });
+        }
+        let transient: Vec<usize> = (0..self.len()).filter(|i| !absorbing.contains(i)).collect();
+        let (nt, mut trips, mut cols) =
+            (transient.len(), Vec::new(), vec![0.0; transient.len() * nc]);
+        for (r, &i) in transient.iter().enumerate() {
+            for (j, &p) in self.matrix.row(i).iter().enumerate() {
+                match transient.binary_search(&j) {
+                    Err(_) => cols[r * nc + column(j)] += p,
+                    Ok(c) if c != r && p > 0.0 => trips.push((r, c, p)),
+                    Ok(_) => {}
+                }
+            }
+        }
+        Ok((transient, SparseMatrix::from_triplets(nt, nt, &trips), cols))
+    }
+
     /// Expected number of steps to absorption from each transient
-    /// state: solves `(I − T) m = 1` over the transient block.
+    /// state: solves `(I − T) m = 1` over the transient block by GTH
+    /// elimination ([`crate::gth`]).
     ///
     /// # Errors
     ///
@@ -169,60 +199,38 @@ impl Dtmc {
     /// * [`MarkovError::Singular`] if a transient state cannot reach any
     ///   absorbing state.
     pub fn expected_steps_to_absorption(&self) -> Result<Vec<(usize, f64)>, MarkovError> {
-        let absorbing: std::collections::HashSet<usize> =
-            self.absorbing_states().into_iter().collect();
-        if absorbing.is_empty() {
-            return Err(MarkovError::MissingStates { what: "no absorbing states".into() });
-        }
-        let transient: Vec<usize> = (0..self.len()).filter(|i| !absorbing.contains(i)).collect();
+        // Column 0: the probability of absorption; column 1: one step.
+        let (transient, q, mut cols) = self.transient_block(&self.absorbing_states(), 2, |_| 0)?;
         if transient.is_empty() {
             return Err(MarkovError::MissingStates { what: "no transient states".into() });
         }
-        let nt = transient.len();
-        let mut a = DenseMatrix::zeros(nt, nt); // I - T
-        for (ri, &i) in transient.iter().enumerate() {
-            for (rj, &j) in transient.iter().enumerate() {
-                a[(ri, rj)] = if ri == rj { 1.0 } else { 0.0 } - self.matrix[(i, j)];
-            }
+        for row in cols.chunks_mut(2) {
+            row[1] = 1.0;
         }
-        let ones = vec![1.0; nt];
-        let m = a.solve(&ones)?;
-        Ok(transient.into_iter().zip(m).collect())
+        let m = gth::absorbing_gth(&q, &cols, 1, "absorption")?;
+        Ok(transient.into_iter().zip(m.chunks(2).map(|r| r[1])).collect())
     }
 
     /// Probability of being absorbed in each absorbing state, starting
-    /// from `start`.
+    /// from `start`, by the same elimination.
     ///
     /// # Errors
     ///
     /// As for [`expected_steps_to_absorption`](Self::expected_steps_to_absorption),
     /// plus [`MarkovError::MissingStates`] if `start` is absorbing.
     pub fn absorption_probabilities(&self, start: usize) -> Result<Vec<(usize, f64)>, MarkovError> {
-        let absorbing: Vec<usize> = self.absorbing_states();
-        if absorbing.is_empty() {
-            return Err(MarkovError::MissingStates { what: "no absorbing states".into() });
-        }
-        let abs_set: std::collections::HashSet<usize> = absorbing.iter().copied().collect();
-        let transient: Vec<usize> = (0..self.len()).filter(|i| !abs_set.contains(i)).collect();
+        let absorbing = self.absorbing_states();
+        let nc = absorbing.len();
+        let (transient, q, cols) =
+            self.transient_block(&absorbing, nc, |d| absorbing.binary_search(&d).unwrap_or(0))?;
         let Some(start_pos) = transient.iter().position(|&s| s == start) else {
             return Err(MarkovError::MissingStates {
                 what: format!("start state {start} is absorbing or out of range"),
             });
         };
-        let nt = transient.len();
-        let mut a = DenseMatrix::zeros(nt, nt);
-        for (ri, &i) in transient.iter().enumerate() {
-            for (rj, &j) in transient.iter().enumerate() {
-                a[(ri, rj)] = if ri == rj { 1.0 } else { 0.0 } - self.matrix[(i, j)];
-            }
-        }
-        let mut out = Vec::with_capacity(absorbing.len());
-        for &d in &absorbing {
-            let b: Vec<f64> = transient.iter().map(|&i| self.matrix[(i, d)]).collect();
-            let x = a.solve(&b)?;
-            out.push((d, x[start_pos].clamp(0.0, 1.0)));
-        }
-        Ok(out)
+        let b = gth::absorbing_gth(&q, &cols, nc, "absorption")?;
+        let row = &b[start_pos * nc..(start_pos + 1) * nc];
+        Ok(absorbing.into_iter().zip(row.iter().map(|p| p.clamp(0.0, 1.0))).collect())
     }
 }
 

@@ -3,10 +3,11 @@
 use std::fmt;
 
 /// Most `f64` entries one elimination may allocate: the band GTH
-/// kernel, dense LU and the dense MTTF and failure-mode solves all
-/// check it before allocating. Every chain of up to 2,048 states fits
-/// at any bandwidth (2,048 rows of 4,095 band columns, 64 MiB); larger
-/// chains fit while their band is narrow enough.
+/// kernel (stationary and absorbing: MTTF, failure modes, DTMC
+/// absorption) and dense LU check it before allocating. Every chain of
+/// up to 2,048 states fits at any bandwidth (2,048 rows of 4,095 band
+/// columns, 64 MiB); larger chains fit while their band is narrow
+/// enough.
 pub const MAX_ELIMINATION_ENTRIES: usize = 2048 * 4095;
 
 /// [`MarkovError::ExceedsStorage`] unless `entries` fits
@@ -111,9 +112,11 @@ pub enum MarkovError {
     /// An elimination would allocate more than
     /// [`MAX_ELIMINATION_ENTRIES`] `f64` entries, so it was refused
     /// before allocating. Retryable: the fallback ladder moves on to a
-    /// rung whose storage fits (band GTH on a narrow-band chain).
+    /// rung whose storage fits (band GTH on a narrow-band chain). The
+    /// absorbing solves (`"mttf"`, `"absorption"`) have no other rung,
+    /// so for them it is final: the up states' band is too wide.
     ExceedsStorage {
-        /// Solver name, e.g. `"lu"` or `"gth"`.
+        /// Solver name, e.g. `"lu"`, `"gth"` or `"mttf"`.
         method: &'static str,
         /// Entries the elimination would have allocated.
         entries: usize,

@@ -1,4 +1,5 @@
-//! Grassmann–Taksar–Heyman (GTH) stationary-distribution algorithm.
+//! Grassmann–Taksar–Heyman (GTH) stationary-distribution algorithm, and
+//! the same elimination for absorbing chains (MTTF, absorption).
 //!
 //! GTH is a Gaussian-elimination variant that never subtracts, so no
 //! cancellation can occur; it is the method of choice for stiff
@@ -89,8 +90,13 @@ struct Band {
 
 impl Band {
     /// The off-diagonal nonzeros of `q` in band storage, after checking
-    /// the allocation against the storage bound.
-    fn from_matrix(q: &SparseMatrix) -> Result<Band, MarkovError> {
+    /// the allocation plus `extra` entries per row against the storage
+    /// bound.
+    fn from_matrix(
+        q: &SparseMatrix,
+        method: &'static str,
+        extra: usize,
+    ) -> Result<Band, MarkovError> {
         let n = q.rows();
         let entries = || {
             (0..n).flat_map(|i| {
@@ -105,13 +111,158 @@ impl Band {
             bu = bu.max(j.saturating_sub(i));
         }
         let width = bl + bu + 1;
-        check_storage("gth", n.saturating_mul(width))?;
+        check_storage(method, n.saturating_mul(width.saturating_add(extra)))?;
         let mut data = vec![0.0; n * width];
         for (i, j, v) in entries() {
             data[i * width + j + bl - i] += v;
         }
         Ok(Band { bl, bu, width, data })
     }
+}
+
+/// A nonnegative `mant · 2^exp`, `mant` in `[1, 2)` (zero has a huge
+/// negative `exp`): `f64` precision with an exponent that neither
+/// overflows nor underflows. Absorption rates of large pools fall far
+/// below `f64`'s range (~10^-1821 behind an MTTF of 10^1821 h).
+#[derive(Clone, Copy)]
+struct Wide {
+    mant: f64,
+    exp: i64,
+}
+
+/// `2^e` as an `f64`: 0 below the subnormal range, ∞ above `f64::MAX`.
+fn pow2(e: i64) -> f64 {
+    match e {
+        1024.. => f64::INFINITY,
+        -1022..=1023 => f64::from_bits(((e + 1023) as u64) << 52),
+        -1074..=-1023 => f64::from_bits(1 << (e + 1074)),
+        _ => 0.0,
+    }
+}
+
+impl Wide {
+    /// `x · 2^exp`, moving `x`'s binary exponent into `exp` exactly. A
+    /// negative or NaN `x` (malformed rates) becomes zero, which a
+    /// pivot reports as `Singular`.
+    fn new(x: f64, exp: i64) -> Wide {
+        if x.is_nan() || x < f64::MIN_POSITIVE {
+            return if x > 0.0 {
+                Wide::new(x * pow2(64), exp - 64)
+            } else {
+                Wide { mant: 0.0, exp: i64::MIN / 4 }
+            };
+        }
+        let bits = x.to_bits();
+        Wide {
+            mant: f64::from_bits(bits & ((1 << 52) - 1) | (1023 << 52)),
+            exp: exp + (bits >> 52) as i64 - 1023,
+        }
+    }
+
+    fn add(self, other: Wide) -> Wide {
+        let (hi, lo) = if self.exp >= other.exp { (self, other) } else { (other, self) };
+        Wide::new(hi.mant + lo.mant * pow2(lo.exp - hi.exp), hi.exp)
+    }
+
+    fn mul(self, other: Wide) -> Wide {
+        Wide::new(self.mant * other.mant, self.exp + other.exp)
+    }
+
+    fn div(self, other: Wide) -> Wide {
+        Wide::new(self.mant / other.mant, self.exp - other.exp)
+    }
+
+    /// The nearest `f64` (∞ past `f64::MAX`), in two factors so that no
+    /// intermediate overflows or underflows first.
+    fn to_f64(self) -> f64 {
+        self.mant * pow2(self.exp / 2) * pow2(self.exp - self.exp / 2)
+    }
+}
+
+/// The forward pass of GTH elimination, shared by the stationary and
+/// absorbing solves: eliminates states `n-1, …, lo` of `band` in place,
+/// checking `options`' clock and token every [`GTH_CLOCK_STRIDE`]
+/// pivots, and returns the pivots. `cols` holds `nc` extra entries per
+/// state (row-major); the first `exits` are rates out of the matrix
+/// (absorption) and join the pivot, `s_k = Σ_{j<k} a_kj + Σ exits_k`.
+/// Eliminating `k` adds `a_ik · x_k / s_k` to row `i`'s columns as it
+/// adds `a_ik · a_kj / s_k` to its band: all terms nonnegative, nothing
+/// subtracted. Row `k`'s band below the diagonal and its columns are
+/// left divided by `s_k`.
+fn eliminate(
+    band: &mut Band,
+    cols: &mut [Wide],
+    nc: usize,
+    exits: usize,
+    lo: usize,
+    method: &'static str,
+    options: &SolveOptions,
+) -> Result<Vec<f64>, MarkovError> {
+    let Band { bl, bu, width: w, data: ref mut a } = *band;
+    let n = a.len() / w;
+    let mut pivots = vec![0.0; n];
+    let start = std::time::Instant::now();
+    let mut trace = rascad_obs::trace::begin(method, "pivot", n);
+    for (step, k) in (lo..n).rev().enumerate() {
+        if step % GTH_CLOCK_STRIDE == 0 {
+            if options.cancelled() {
+                trace.finish("cancelled");
+                return Err(options.cancelled_error(method, step));
+            }
+            let elapsed = start.elapsed();
+            if options.over_budget(elapsed) {
+                trace.finish("timeout");
+                return Err(options.timeout_error(method, step, elapsed));
+            }
+        }
+        // Row k's band columns below the diagonal are j in jlo..k; rows
+        // with an entry in column k are i in ilo..k.
+        let (jlo, ilo) = (k.saturating_sub(bl), k.saturating_sub(bu));
+        let (above, rest) = a.split_at_mut(k * w);
+        let row_k = &mut rest[jlo + bl - k..bl];
+        let (cols_above, cols_k) = cols.split_at_mut(k * nc);
+        let cols_k = &mut cols_k[..nc];
+        // s = total rate out of k into states 0..k and out of the matrix.
+        let pivot = cols_k[..exits].iter().fold(Wide::new(row_k.iter().sum(), 0), |p, &x| p.add(x));
+        let s = pivot.to_f64();
+        trace.step(step + 1, s);
+        if pivot.mant == 0.0 || !s.is_finite() {
+            trace.finish("singular");
+            return Err(MarkovError::Singular);
+        }
+        pivots[k] = s;
+        // A pivot below f64's range is all exits: row k's band is zero.
+        if s > 0.0 {
+            for x in row_k.iter_mut() {
+                *x /= s;
+            }
+        }
+        for x in cols_k.iter_mut() {
+            *x = x.div(pivot);
+        }
+        let (row_k, cols_k) = (&*row_k, &*cols_k);
+        for i in ilo..k {
+            let row_i = &mut above[i * w..(i + 1) * w];
+            let aik = row_i[k + bl - i];
+            if aik == 0.0 {
+                continue;
+            }
+            // Columns jlo..k of row i. The update also lands on the
+            // diagonal slot (i, i) when it is in range; that slot is
+            // never read, so skipping it would only cost a branch.
+            for (x, &akj) in row_i[jlo + bl - i..k + bl - i].iter_mut().zip(row_k) {
+                *x += aik * akj;
+            }
+            if nc > 0 {
+                let aik = Wide::new(aik, 0);
+                for (x, &y) in cols_above[i * nc..(i + 1) * nc].iter_mut().zip(cols_k) {
+                    *x = x.add(aik.mul(y));
+                }
+            }
+        }
+    }
+    trace.finish("done");
+    Ok(pivots)
 }
 
 /// GTH elimination on a generator matrix (off-diagonals non-negative;
@@ -149,60 +300,11 @@ pub fn stationary_gth_matrix(
 
     // Only the off-diagonal rates are stored; each pivot is re-derived
     // as the (positive) row sum of the remaining states, which is what
-    // makes GTH subtraction-free.
-    let Band { bl, bu, width: w, data: mut a } = Band::from_matrix(q)?;
-
-    // Forward elimination: eliminate states n-1, n-2, ..., 1. `pivots[k]`
-    // keeps the total censored exit rate of state k at elimination time,
-    // needed again during back substitution.
-    let mut pivots = vec![0.0; n];
-    let mut min_pivot = f64::INFINITY;
-    let start = std::time::Instant::now();
-    let mut trace = rascad_obs::trace::begin("gth", "pivot", n);
-    for (step, k) in (1..n).rev().enumerate() {
-        if step % GTH_CLOCK_STRIDE == 0 {
-            if options.cancelled() {
-                trace.finish("cancelled");
-                return Err(options.cancelled_error("gth", step));
-            }
-            let elapsed = start.elapsed();
-            if options.over_budget(elapsed) {
-                trace.finish("timeout");
-                return Err(options.timeout_error("gth", step, elapsed));
-            }
-        }
-        // Row k's band columns below the diagonal are j in jlo..k; rows
-        // with an entry in column k are i in ilo..k.
-        let (jlo, ilo) = (k.saturating_sub(bl), k.saturating_sub(bu));
-        let (above, rest) = a.split_at_mut(k * w);
-        let row_k = &mut rest[jlo + bl - k..bl];
-        // s = total rate out of k into states 0..k.
-        let s: f64 = row_k.iter().sum();
-        trace.step(step + 1, s);
-        if s <= 0.0 || !s.is_finite() {
-            trace.finish("singular");
-            return Err(MarkovError::Singular);
-        }
-        min_pivot = min_pivot.min(s);
-        pivots[k] = s;
-        for x in row_k.iter_mut() {
-            *x /= s;
-        }
-        let row_k = &*row_k;
-        for i in ilo..k {
-            let row_i = &mut above[i * w..(i + 1) * w];
-            let aik = row_i[k + bl - i];
-            if aik == 0.0 {
-                continue;
-            }
-            // Columns jlo..k of row i. The update also lands on the
-            // diagonal slot (i, i) when it is in range; that slot is
-            // never read, so skipping it would only cost a branch.
-            for (x, &akj) in row_i[jlo + bl - i..k + bl - i].iter_mut().zip(row_k) {
-                *x += aik * akj;
-            }
-        }
-    }
+    // makes GTH subtraction-free. `pivots[k]` is the total censored exit
+    // rate of state k at elimination time.
+    let mut band = Band::from_matrix(q, "gth", 0)?;
+    let pivots = eliminate(&mut band, &mut [], 0, 0, 1, "gth", options)?;
+    let Band { bl, bu, width: w, data: a } = band;
 
     // Back substitution: flow balance of the censored chain on {0..k}
     // gives pi[k] * s_k = sum_{i<k} pi[i] * q[i][k].
@@ -218,20 +320,61 @@ pub fn stationary_gth_matrix(
 
     let total: f64 = pi.iter().sum();
     if !(total.is_finite() && total > 0.0) {
-        trace.finish("singular");
         return Err(MarkovError::Singular);
     }
-    trace.finish("done");
     for p in &mut pi {
         *p /= total;
     }
     // The smallest censored exit rate is the conditioning diagnostic:
     // tiny pivots mean nearly-disconnected states.
+    let min_pivot = pivots[1..].iter().copied().fold(f64::INFINITY, f64::min);
     span.record("min_pivot", min_pivot);
     rascad_obs::record_value("markov.gth.min_pivot", min_pivot);
     rascad_obs::record_value("markov.gth.states", n as f64);
     rascad_obs::counter_with("markov.solves", &[("method", "gth")], 1);
     Ok(pi)
+}
+
+/// Absorbing-chain solve by the same elimination: `q` holds the rates
+/// among the transient states (diagonal ignored) and `cols` `nc`
+/// nonnegative columns per transient state, row-major, the first
+/// `exits` of them its rates into absorbing states. Returns
+/// `(D − Q)⁻¹ · cols`, `D` the diagonal of total exit rates: mean times
+/// to absorption for a unit column, absorption probabilities for exit
+/// columns. After [`eliminate`] runs down to state 0 (whose pivot is its
+/// exits alone), `x_k = x̃_k + Σ_{j<k} ã_kj x_j` in increasing `k`. The
+/// columns stay [`Wide`] until the end, so a result past `f64::MAX` is
+/// ∞ and no intermediate is ever subnormal.
+///
+/// # Errors
+///
+/// [`MarkovError::ExceedsStorage`] when the band and columns do not fit
+/// the storage bound (checked before allocating); [`MarkovError::Singular`]
+/// on a zero pivot, i.e. a transient state with no path to absorption.
+pub(crate) fn absorbing_gth(
+    q: &SparseMatrix,
+    cols: &[f64],
+    exits: usize,
+    method: &'static str,
+) -> Result<Vec<f64>, MarkovError> {
+    let n = q.rows();
+    let nc = cols.len() / n;
+    // Each Wide entry takes two f64s.
+    let mut band = Band::from_matrix(q, method, 2 * nc)?;
+    let mut x: Vec<Wide> = cols.iter().map(|&c| Wide::new(c, 0)).collect();
+    let options = SolveOptions { wall_clock: None, ..SolveOptions::default() };
+    eliminate(&mut band, &mut x, nc, exits, 0, method, &options)?;
+    let Band { bl, width: w, data: a, .. } = band;
+    for k in 1..n {
+        let (solved, row_k) = x.split_at_mut(k * nc);
+        for j in k.saturating_sub(bl)..k {
+            let akj = Wide::new(a[k * w + j + bl - k], 0);
+            for (xk, &xj) in row_k[..nc].iter_mut().zip(&solved[j * nc..(j + 1) * nc]) {
+                *xk = xk.add(akj.mul(xj));
+            }
+        }
+    }
+    Ok(x.into_iter().map(Wide::to_f64).collect())
 }
 
 #[cfg(test)]
@@ -350,6 +493,16 @@ mod tests {
     }
 
     #[test]
+    fn gth_malformed_pivots_are_singular() {
+        // A negative or NaN exit rate makes a pivot nonpositive or NaN;
+        // both are Singular, as a zero pivot is.
+        for bad in [-1.0, f64::NAN] {
+            let q = SparseMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, bad)]);
+            assert!(matches!(stationary_gth_matrix(&q, &no_clock()), Err(MarkovError::Singular)));
+        }
+    }
+
+    #[test]
     fn band_storage_follows_the_generator_band() {
         // A cycle 0 -> 1 -> 2 -> 3 -> 0 has bl = 3 (the wrap-around
         // edge) and bu = 1; a birth-death chain has bl = bu = 1.
@@ -358,10 +511,10 @@ mod tests {
             4,
             &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)],
         );
-        let band = Band::from_matrix(&cycle).unwrap();
+        let band = Band::from_matrix(&cycle, "gth", 0).unwrap();
         assert_eq!((band.bl, band.bu, band.width, band.data.len()), (3, 1, 5, 20));
         let bd: Vec<_> = (0..9).flat_map(|i| [(i, i + 1, 1.0), (i + 1, i, 2.0)]).collect();
-        let band = Band::from_matrix(&SparseMatrix::from_triplets(10, 10, &bd)).unwrap();
+        let band = Band::from_matrix(&SparseMatrix::from_triplets(10, 10, &bd), "gth", 0).unwrap();
         assert_eq!((band.bl, band.bu, band.data.len()), (1, 1, 30));
     }
 

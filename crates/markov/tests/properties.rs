@@ -183,6 +183,62 @@ fn dtmc_stationary_is_fixed_point() {
     }
 }
 
+/// Absorbing DTMCs: the band elimination's expected steps and
+/// absorption probabilities match dense LU on `I − T`, self-loops
+/// included.
+#[test]
+fn dtmc_absorption_matches_dense_lu() {
+    use rascad_markov::dense::DenseMatrix;
+    use rascad_markov::DtmcBuilder;
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nt = 1 + (rng.gen::<u64>() % 8) as usize;
+        let na = 1 + (rng.gen::<u64>() % 3) as usize;
+        let n = nt + na;
+        let mut b = DtmcBuilder::new();
+        for i in 0..n {
+            b.add_state(format!("s{i}"));
+        }
+        // Transient states 0..nt: each steps to the next (the last to an
+        // absorbing state), so all are transient, plus a self-loop and
+        // random extra edges.
+        let mut rows = vec![vec![0.0; n]; nt];
+        for (i, row) in rows.iter_mut().enumerate() {
+            row[i + 1] = uniform(&mut rng, 0.05, 1.0);
+            row[i] = if rng.gen_bool(0.7) { uniform(&mut rng, 0.0, 2.0) } else { 0.0 };
+            for _ in 0..rng.gen::<u64>() % 4 {
+                row[(rng.gen::<u64>() % n as u64) as usize] += uniform(&mut rng, 0.0, 1.0);
+            }
+            let z: f64 = row.iter().sum();
+            for (j, w) in row.iter().enumerate().filter(|&(_, &w)| w > 0.0) {
+                b.add_transition(i, j, w / z);
+            }
+        }
+        let c = b.build().unwrap();
+        let absorbing = c.absorbing_states();
+        assert_eq!(absorbing, (nt..n).collect::<Vec<_>>(), "seed {seed}");
+        let mut a = DenseMatrix::zeros(nt, nt);
+        for i in 0..nt {
+            for j in 0..nt {
+                a[(i, j)] = f64::from(u8::from(i == j)) - c.probability(i, j);
+            }
+        }
+        let want = a.solve(&vec![1.0; nt]).unwrap();
+        for (state, m) in c.expected_steps_to_absorption().unwrap() {
+            let rel = (m - want[state]).abs() / want[state];
+            assert!(rel < 1e-10, "seed {seed}: state {state} {m} vs {}", want[state]);
+        }
+        let start = (rng.gen::<u64>() % nt as u64) as usize;
+        let probs = c.absorption_probabilities(start).unwrap();
+        assert_eq!(probs.iter().map(|p| p.0).collect::<Vec<_>>(), absorbing, "seed {seed}");
+        for (d, p) in probs {
+            let rhs: Vec<f64> = (0..nt).map(|i| c.probability(i, d)).collect();
+            let want = a.solve(&rhs).unwrap()[start];
+            assert!((p - want).abs() < 1e-12, "seed {seed}: {start} -> {d}: {p} vs {want}");
+        }
+    }
+}
+
 /// Erlang phase expansion of a random semi-Markov process preserves
 /// steady-state availability exactly.
 #[test]

@@ -155,6 +155,22 @@ cargo run --offline -q -p rascad-cli -- bench --large --quick \
     --label large-smoke --out target/bench_large_smoke.json > /dev/null
 cargo run --offline -q -p rascad-cli -- bench --validate target/bench_large_smoke.json
 
+# Absorbing-elimination smoke: a 60-unit pool that needs one unit
+# up. Its MTTF (~10^136.6 h) fits f64 but defeats a dense LU on
+# −Q_UU; the band elimination must print it, and exit 0.
+echo "==> pool MTTF smoke (60 units, min_quantity 1: 4.2399e136 h)"
+cat > target/ci_pool60.rascad <<'SPEC'
+diagram "Pool" {
+    block "Units" {
+        quantity = 60
+        min_quantity = 1
+        mtbf = 10000 h
+    }
+}
+SPEC
+cargo run --offline -q -p rascad-cli -- solve target/ci_pool60.rascad > target/ci_pool60.txt
+grep -q '^System MTTF *: 4.2399e136 h$' target/ci_pool60.txt
+
 # Serve smoke: boot the daemon on an ephemeral port, drive the
 # store -> solve -> metrics path over real TCP, then SIGTERM it and
 # require a clean drain (exit 0). A 50 ms deadline on a 10^5-state
