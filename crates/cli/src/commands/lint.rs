@@ -179,12 +179,8 @@ fn run_tier_b(spec: &rascad_spec::SystemSpec, report: &mut LintReport) {
 /// for the RAS205 bound cross-check when the solver accepts the spec.
 fn run_tier_c(spec: &rascad_spec::SystemSpec, max_cut_order: usize, report: &mut LintReport) {
     let exact = rascad_core::solve_spec(spec).ok().map(|sol| tier_c::ExactSolve {
-        system_unavailability: 1.0 - sol.system.availability,
-        blocks: sol
-            .blocks
-            .iter()
-            .map(|b| (b.path.clone(), 1.0 - b.measures.availability))
-            .collect(),
+        system_unavailability: sol.system.unavailability,
+        blocks: sol.blocks.iter().map(|b| (b.path.clone(), b.measures.unavailability)).collect(),
     });
     let opts = tier_c::TierCOptions { max_cut_order, ..Default::default() };
     report.extend(tier_c::analyze_structure(spec, &opts, exact.as_ref()));

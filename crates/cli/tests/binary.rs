@@ -72,9 +72,32 @@ fn three_thousand_unit_pool_solves_its_mttf() {
         report.contains("System MTTF                      : beyond f64 (> 1.8e308 h)"),
         "{report}"
     );
+    // Its availability rounds above 1; the system unavailability rolls
+    // up from the block's, so it is 0, not 1 − A = −6.661e-16.
+    assert!(report.contains("System unavailability            : 0.000e0\n"), "{report}");
+    assert!(report.contains("Yearly downtime                  : 0.00 min\n"), "{report}");
+    assert!(!report.contains(": -"), "{report}");
     let (ok, modes, stderr) = rascad(&["modes", p, "Units"]);
     assert!(ok, "{stderr}");
     assert!(modes.contains("PF3000           100.000%"), "{modes}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn lint_bound_check_reads_the_rolled_up_unavailability() {
+    // A 10-unit, min-1 pool's availability also rounds above 1 (1 − A
+    // is −2.2e-16), and its Tier C analysis is instant where the
+    // 3000-unit pool's takes seconds. RAS205 prints the roll-up.
+    let path = std::env::temp_dir().join("rascad_binary_test_pool_10.rascad");
+    let spec = "global {\n    mission_time = 1 h\n}\n\ndiagram \"Pool\" {\n    block \"Units\" {\n        \
+                quantity = 10\n        min_quantity = 1\n        mtbf = 10000 h\n    }\n}\n";
+    std::fs::write(&path, spec).unwrap();
+    let (ok, lint, stderr) = rascad(&["lint", path.to_str().unwrap(), "--tier-c"]);
+    assert!(ok, "{stderr}");
+    assert!(
+        lint.contains("exact system unavailability 0.000e0 <= 0.000e0, the union bound"),
+        "{lint}"
+    );
     std::fs::remove_file(&path).ok();
 }
 

@@ -263,7 +263,20 @@ impl SolveCache {
         options: &rascad_markov::SolveOptions,
         generation: u64,
     ) -> Result<(BlockMeasures, SolutionCertificate), CoreError> {
-        let key = (model.chain.fingerprint(), method);
+        self.steady_keyed(model, model.chain.fingerprint(), method, options, generation)
+    }
+
+    /// [`SolveCache::steady_certified_with`] for a caller that already
+    /// holds `model.chain`'s fingerprint.
+    pub(crate) fn steady_keyed(
+        &self,
+        model: &BlockModel,
+        fingerprint: Fingerprint,
+        method: SteadyStateMethod,
+        options: &rascad_markov::SolveOptions,
+        generation: u64,
+    ) -> Result<(BlockMeasures, SolutionCertificate), CoreError> {
+        let key = (fingerprint, method);
         {
             let maps = self.maps.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             if let Some(e) = maps.steady.get(&key) {
@@ -324,20 +337,22 @@ impl SolveCache {
         mission_hours: f64,
         generation: u64,
     ) -> Result<MissionMeasures, CoreError> {
-        self.mission_cancellable(model, mission_hours, generation, None)
+        self.mission_keyed(model, model.chain.fingerprint(), mission_hours, generation, None)
     }
 
-    /// [`SolveCache::mission_with`] polling a request's cancellation
+    /// [`SolveCache::mission_with`] for a caller that already holds
+    /// `model.chain`'s fingerprint, polling a request's cancellation
     /// token in the solves of a miss. A cancelled solve is an error, so
     /// it is never cached.
-    pub(crate) fn mission_cancellable(
+    pub(crate) fn mission_keyed(
         &self,
         model: &BlockModel,
+        fingerprint: Fingerprint,
         mission_hours: f64,
         generation: u64,
         cancel: Option<&CancelToken>,
     ) -> Result<MissionMeasures, CoreError> {
-        let key = (model.chain.fingerprint(), mission_hours.to_bits());
+        let key = (fingerprint, mission_hours.to_bits());
         {
             let maps = self.maps.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             if let Some(e) = maps.mission.get(&key) {
@@ -457,7 +472,8 @@ mod tests {
         let m = model(10_000.0);
         let token = CancelToken::new();
         token.cancel();
-        let err = cache.mission_cancellable(&m, 8760.0, 0, Some(&token)).unwrap_err();
+        let err =
+            cache.mission_keyed(&m, m.chain.fingerprint(), 8760.0, 0, Some(&token)).unwrap_err();
         assert!(
             matches!(
                 err,

@@ -32,13 +32,13 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use rascad_markov::{CancelToken, SolveOptions, SteadyStateMethod};
+use rascad_markov::{CancelToken, Fingerprint, SolveOptions, SteadyStateMethod};
 use rascad_spec::{Block, BlockParams, Diagram, GlobalParams, SystemSpec};
 
 use crate::cache::{CacheStats, MissionMeasures, SolveCache};
 use crate::certify::SolutionCertificate;
 use crate::error::{CoreError, EngineError};
-use crate::generator::{generate_block, BlockModel};
+use crate::generator::{generate_block, BlockModel, ModelSummary};
 use crate::hierarchy::{BlockSolution, FailedBlock, SystemMeasures, SystemSolution};
 use crate::measures::{
     steady_state_measures_certified, steady_state_measures_with_certificate_opts, BlockMeasures,
@@ -350,12 +350,13 @@ impl Engine {
     fn cached_steady(
         &self,
         model: &BlockModel,
+        fingerprint: Fingerprint,
         method: SteadyStateMethod,
         options: &SolveOptions,
         generation: u64,
     ) -> Result<(BlockMeasures, SolutionCertificate), CoreError> {
         match &self.cache {
-            Some(c) => c.steady_certified_with(model, method, options, generation),
+            Some(c) => c.steady_keyed(model, fingerprint, method, options, generation),
             None => steady_state_measures_with_certificate_opts(model, method, options),
         }
     }
@@ -363,12 +364,13 @@ impl Engine {
     fn cached_mission(
         &self,
         model: &BlockModel,
+        fingerprint: Fingerprint,
         mission_hours: f64,
         generation: u64,
         cancel: Option<&CancelToken>,
     ) -> Result<MissionMeasures, CoreError> {
         match &self.cache {
-            Some(c) => c.mission_cancellable(model, mission_hours, generation, cancel),
+            Some(c) => c.mission_keyed(model, fingerprint, mission_hours, generation, cancel),
             None => crate::cache::compute_mission_measures(model, mission_hours, cancel),
         }
     }
@@ -385,8 +387,13 @@ impl Engine {
         method: SteadyStateMethod,
     ) -> Result<(BlockModel, BlockMeasures), CoreError> {
         let model = generate_block(params, globals)?;
-        let (measures, _) =
-            self.cached_steady(&model, method, &SolveOptions::default(), self.next_generation())?;
+        let (measures, _) = self.cached_steady(
+            &model,
+            model.chain.fingerprint(),
+            method,
+            &SolveOptions::default(),
+            self.next_generation(),
+        )?;
         Ok((model, measures))
     }
 
@@ -541,9 +548,7 @@ impl Engine {
             "total_states",
             tasks
                 .iter()
-                .map(|t| {
-                    t.as_ref().and_then(|r| r.as_ref().ok()).map_or(0, |t| t.model.state_count())
-                })
+                .map(|t| t.as_ref().and_then(|r| r.as_ref().ok()).map_or(0, |t| t.model.states))
                 .sum::<usize>(),
         );
 
@@ -577,11 +582,11 @@ impl Engine {
         let blocks: Vec<BlockSolution> = blocks.into_iter().map(|(b, _)| b).collect();
 
         let mean_downtime =
-            if agg.failure_rate > 0.0 { (1.0 - agg.availability) / agg.failure_rate } else { 0.0 };
+            if agg.failure_rate > 0.0 { agg.unavailability / agg.failure_rate } else { 0.0 };
         let system = SystemMeasures {
             availability: agg.availability,
-            unavailability: 1.0 - agg.availability,
-            yearly_downtime_minutes: (1.0 - agg.availability) * crate::measures::MINUTES_PER_YEAR,
+            unavailability: agg.unavailability,
+            yearly_downtime_minutes: agg.unavailability * crate::measures::MINUTES_PER_YEAR,
             failure_rate: agg.failure_rate,
             recovery_rate: if mean_downtime > 0.0 { 1.0 / mean_downtime } else { 0.0 },
             mtbf_hours: if agg.failure_rate > 0.0 { 1.0 / agg.failure_rate } else { f64::INFINITY },
@@ -623,6 +628,9 @@ impl Engine {
         }
         let model = generate_block(&block.params, globals)?;
         span.record("states", model.state_count());
+        // One fingerprint per block: the solution's summary and both
+        // cache keys.
+        let summary = model.summary();
         // Injected solver faults bypass the cache entirely: no read (the
         // fault must fire even when an identical clean chain is cached)
         // and no write (a forced failure must never poison clean runs).
@@ -651,14 +659,19 @@ impl Engine {
                     Some(ForcedFailure::NanPi),
                 )?
             }
-            _ => self.cached_steady(&model, method, options, generation)?,
+            _ => self.cached_steady(&model, summary.fingerprint, method, options, generation)?,
         };
-        let mission_measures =
-            self.cached_mission(&model, mission, generation, options.cancel.as_ref())?;
+        let mission_measures = self.cached_mission(
+            &model,
+            summary.fingerprint,
+            mission,
+            generation,
+            options.cancel.as_ref(),
+        )?;
         Ok(SolvedBlock {
             level,
             path: path.to_string(),
-            model,
+            model: summary,
             measures,
             mission_measures,
             certificate,
@@ -746,7 +759,7 @@ impl Engine {
 struct SolvedBlock {
     level: usize,
     path: String,
-    model: BlockModel,
+    model: ModelSummary,
     measures: BlockMeasures,
     mission_measures: MissionMeasures,
     certificate: SolutionCertificate,
@@ -755,9 +768,20 @@ struct SolvedBlock {
 /// Serial-RBD aggregate of a (sub)diagram — the same combination the
 /// recursive solver used, reproduced operation-for-operation so the
 /// engine's output is bit-identical to the sequential reference.
+///
+/// `unavailability` rolls up the blocks' own unavailabilities rather
+/// than taking `1 − availability`, which goes negative once the product
+/// rounds above 1: a series pair is down with probability
+/// `u₁ + (1 − u₁)·u₂`, a sum of nonnegative terms.
 struct Aggregate {
     availability: f64,
+    unavailability: f64,
     failure_rate: f64,
+}
+
+/// Unavailability of a series pair from its members' unavailabilities.
+fn series_unavailability(u1: f64, u2: f64) -> f64 {
+    u1 + (1.0 - u1) * u2
 }
 
 fn assemble_diagram(
@@ -768,15 +792,21 @@ fn assemble_diagram(
     failed: &mut Vec<FailedBlock>,
 ) -> Aggregate {
     let mut avail = 1.0;
+    let mut unavail = 0.0;
     let mut rate_over_avail = 0.0; // sum of f_i / A_i
     for block in &diagram.blocks {
         let combined = assemble_block(block, tasks, cursor, out, failed);
         avail *= combined.availability;
+        unavail = series_unavailability(unavail, combined.unavailability);
         if combined.availability > 0.0 {
             rate_over_avail += combined.failure_rate / combined.availability;
         }
     }
-    Aggregate { availability: avail, failure_rate: avail * rate_over_avail }
+    Aggregate {
+        availability: avail,
+        unavailability: unavail,
+        failure_rate: avail * rate_over_avail,
+    }
 }
 
 fn assemble_block(
@@ -796,14 +826,10 @@ fn assemble_block(
             // rate 0 — and the failure is reported explicitly. Its
             // subdiagram solved independently and still rolls up.
             failed.push(f);
-            let mut avail = 1.0;
-            let mut rate = 0.0;
-            if let Some(sub) = &block.subdiagram {
-                let sub_agg = assemble_diagram(sub, tasks, cursor, out, failed);
-                avail = sub_agg.availability;
-                rate = sub_agg.failure_rate;
-            }
-            return Aggregate { availability: avail, failure_rate: rate };
+            return match &block.subdiagram {
+                Some(sub) => assemble_diagram(sub, tasks, cursor, out, failed),
+                None => Aggregate { availability: 1.0, unavailability: 0.0, failure_rate: 0.0 },
+            };
         }
     };
     let my_index = out.len();
@@ -822,6 +848,7 @@ fn assemble_block(
     ));
 
     let mut avail = measures.availability;
+    let mut unavail = measures.unavailability;
     let mut rate = measures.failure_rate;
     if let Some(sub) = &block.subdiagram {
         let sub_agg = assemble_diagram(sub, tasks, cursor, out, failed);
@@ -830,10 +857,11 @@ fn assemble_block(
         let combined_rate = rate * sub_agg.availability + sub_agg.failure_rate * avail;
         avail = combined_avail;
         rate = combined_rate;
+        unavail = series_unavailability(unavail, sub_agg.unavailability);
         out[my_index].0.combined_availability = avail;
         out[my_index].0.combined_failure_rate = rate;
     }
-    Aggregate { availability: avail, failure_rate: rate }
+    Aggregate { availability: avail, unavailability: unavail, failure_rate: rate }
 }
 
 #[cfg(test)]
@@ -850,6 +878,17 @@ mod tests {
             );
         }
         SystemSpec::new(d, rascad_spec::GlobalParams::default())
+    }
+
+    #[test]
+    #[allow(clippy::float_cmp)] // exact equality asserts the roll-up's own arithmetic
+    fn system_unavailability_rolls_up_the_blocks() {
+        let sol = Engine::sequential().solve_spec(&spec(3)).unwrap();
+        let u = sol.blocks.iter().fold(0.0, |u, b| u + (1.0 - u) * b.measures.unavailability);
+        assert_eq!(sol.system.unavailability, u);
+        assert_eq!(sol.system.yearly_downtime_minutes, u * crate::measures::MINUTES_PER_YEAR);
+        let by_cancellation = 1.0 - sol.system.availability;
+        assert!((u - by_cancellation).abs() <= 1e-9 * u, "{u:e} vs {by_cancellation:e}");
     }
 
     #[test]

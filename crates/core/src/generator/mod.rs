@@ -29,7 +29,7 @@ pub mod rates;
 pub mod redundant;
 pub mod type0;
 
-use rascad_markov::{Ctmc, CtmcBuilder, StateId};
+use rascad_markov::{Ctmc, CtmcBuilder, Fingerprint, StateId};
 use rascad_spec::{BlockParams, GlobalParams};
 
 use crate::error::CoreError;
@@ -69,6 +69,39 @@ impl BlockModel {
     pub fn ok_state(&self) -> StateId {
         0
     }
+
+    /// The model's shape and its chain's content fingerprint.
+    pub(crate) fn summary(&self) -> ModelSummary {
+        ModelSummary {
+            model_type: self.model_type,
+            quantity: self.quantity,
+            min_quantity: self.min_quantity,
+            states: self.state_count(),
+            transitions: self.transition_count(),
+            fingerprint: self.chain.fingerprint(),
+        }
+    }
+}
+
+/// What a solved block keeps of its generated model: the shape and the
+/// chain's fingerprint, not the chain, which for a large pool is tens of
+/// kilobytes. Regenerate the model with [`generate_block`] where the
+/// chain itself is needed (dwell budgets, failure modes, DOT output).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ModelSummary {
+    /// The Markov model type (0–4) selected by the parameters.
+    pub model_type: u8,
+    /// Quantity `N`.
+    pub quantity: u32,
+    /// Minimum required quantity `K`.
+    pub min_quantity: u32,
+    /// Number of states in the generated chain.
+    pub states: usize,
+    /// Number of transitions in the generated chain.
+    pub transitions: usize,
+    /// Content fingerprint of the generated chain (the solve cache's
+    /// key), so two solutions can tell whether they solved one chain.
+    pub fingerprint: Fingerprint,
 }
 
 /// Generates the availability Markov chain for one block.

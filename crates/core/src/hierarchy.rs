@@ -17,7 +17,7 @@ use rascad_rbd::{ComponentTable, Rbd};
 use rascad_spec::{Diagram, SystemSpec};
 
 use crate::error::CoreError;
-use crate::generator::{generate_block, BlockModel};
+use crate::generator::{generate_block, ModelSummary};
 use crate::measures::BlockMeasures;
 
 /// Per-block solution inside a system solve.
@@ -28,8 +28,10 @@ pub struct BlockSolution {
     pub path: String,
     /// Diagram level (root = 1, as the paper numbers them).
     pub level: usize,
-    /// The generated Markov model.
-    pub model: BlockModel,
+    /// The generated Markov model's shape and chain fingerprint. The
+    /// chain itself is not kept: [`generate_block`] regenerates it from
+    /// the block's parameters.
+    pub model: ModelSummary,
     /// Steady-state measures of the block's own chain.
     pub measures: BlockMeasures,
     /// Chain availability × subdiagram availability (equals
@@ -48,7 +50,9 @@ pub struct SystemMeasures {
     /// Steady-state system availability (product over the root
     /// diagram).
     pub availability: f64,
-    /// `1 − availability`.
+    /// Probability the system is down, rolled up from the blocks'
+    /// unavailabilities (`u₁ + (1 − u₁)·u₂` per series pair): equal to
+    /// `1 − availability` up to rounding, and never negative.
     pub unavailability: f64,
     /// Expected system downtime per year, minutes.
     pub yearly_downtime_minutes: f64,

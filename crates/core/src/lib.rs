@@ -68,7 +68,7 @@ pub use certify::{certify_steady, certify_transient, SolutionCertificate, Verdic
 pub use compare::{compare_architectures, ArchComparison};
 pub use engine::{default_threads, set_thread_override, Engine};
 pub use error::{CoreError, EngineError};
-pub use generator::{generate_block, BlockModel};
+pub use generator::{generate_block, BlockModel, ModelSummary};
 pub use hierarchy::{
     solve_spec, solve_spec_best_effort, BlockOutcome, BlockSolution, FailedBlock, SystemMeasures,
     SystemSolution,

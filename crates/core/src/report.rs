@@ -65,7 +65,7 @@ pub fn system_report(title: &str, sol: &SystemSolution) -> String {
             "{:<48} {:>5} {:>7} {:>14.9} {:>14.3}",
             format!("{indent}{}", b.path),
             b.model.model_type,
-            b.model.state_count(),
+            b.model.states,
             b.measures.availability,
             b.measures.yearly_downtime_minutes,
         );

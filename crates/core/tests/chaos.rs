@@ -38,7 +38,9 @@ fn surviving_blocks_match(degraded: &SystemSolution, clean: &SystemSolution) {
     for b in &degraded.blocks {
         let reference = clean.block(&b.path).expect("clean run has every block");
         assert_eq!(b.measures, reference.measures, "block {} diverged", b.path);
-        assert_eq!(b.model, reference.model, "model {} diverged", b.path);
+        // The summary carries the chain's fingerprint, so equal
+        // summaries mean the same generated chain.
+        assert_eq!(b.model, reference.model, "model summary {} diverged", b.path);
         assert_eq!(b.certificate, reference.certificate, "certificate {} diverged", b.path);
     }
 }

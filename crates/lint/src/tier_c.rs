@@ -73,9 +73,10 @@ impl Default for TierCOptions {
 /// solver dependency.
 #[derive(Debug, Clone, Default)]
 pub struct ExactSolve {
-    /// `1 − system availability` from the exact hierarchical solve.
+    /// The system unavailability from the exact hierarchical solve
+    /// (rolled up from the blocks', never negative).
     pub system_unavailability: f64,
-    /// `(block path, 1 − the block's own chain availability)` for
+    /// `(block path, the unavailability of the block's own chain)` for
     /// every block in the hierarchy.
     pub blocks: Vec<(String, f64)>,
 }

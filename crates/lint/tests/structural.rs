@@ -38,15 +38,12 @@ fn library_models() -> Vec<(String, SystemSpec)> {
     ]
 }
 
+/// The exact solve as `rascad lint --tier-c` feeds it in.
 fn exact_solve(spec: &SystemSpec) -> ExactSolve {
     let sol = rascad_core::solve_spec(spec).unwrap();
     ExactSolve {
-        system_unavailability: 1.0 - sol.system.availability,
-        blocks: sol
-            .blocks
-            .iter()
-            .map(|b| (b.path.clone(), 1.0 - b.measures.availability))
-            .collect(),
+        system_unavailability: sol.system.unavailability,
+        blocks: sol.blocks.iter().map(|b| (b.path.clone(), b.measures.unavailability)).collect(),
     }
 }
 

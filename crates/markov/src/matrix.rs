@@ -7,6 +7,8 @@
 //! that internal representation: chains are assembled as triplets and
 //! compressed to CSR for the uniformization and power solvers.
 
+use std::ops::Range;
+
 use crate::dense::DenseMatrix;
 
 /// A sparse matrix in compressed-sparse-row form.
@@ -254,6 +256,115 @@ impl SparseMatrix {
     }
 }
 
+/// A square matrix stored by its nonzero diagonals, for the row-vector
+/// product `v · A` of the uniformization series.
+///
+/// Diagonal `k` holds the entries at column offset `d_k = j − i`, indexed
+/// by column: `coef[k·n + j] = A[j − d_k, j]`, zero where that row lies
+/// outside the matrix. The offsets are stored in descending order, so
+/// for every column `j` the sources `i = j − d_k` ascend — the order in
+/// which [`SparseMatrix::vec_mul_into`] adds them. A k-out-of-n pool's
+/// birth–death chain has three diagonals.
+///
+/// Vectors are multiplied in *padded* form: `pad_front` zeros, the `n`
+/// entries, then `pad_back` zeros (see [`padding`](Self::padding)), so
+/// every diagonal reads one contiguous, shifted slice and no column
+/// needs a bounds test.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct DiagonalMatrix {
+    n: usize,
+    /// Offsets `j − i` of the stored diagonals, descending.
+    offsets: Vec<isize>,
+    /// `coef[k * n + j] = A[j − offsets[k], j]`.
+    coef: Vec<f64>,
+    /// Zeros before a padded vector's entries: the largest positive
+    /// offset.
+    pad_front: usize,
+    /// Zeros after them: the largest negative offset's magnitude.
+    pad_back: usize,
+}
+
+impl DiagonalMatrix {
+    /// Stores a square `a` by diagonal when that takes at most
+    /// `max_fill` slots per stored nonzero (`diagonals × n ≤ max_fill ×
+    /// nnz`); `None` for a rectangular `a` or one whose nonzeros scatter
+    /// over more diagonals than that.
+    pub(crate) fn from_sparse(a: &SparseMatrix, max_fill: usize) -> Option<Self> {
+        let n = a.rows;
+        if n != a.cols {
+            return None;
+        }
+        let slot = |d: isize, offsets: &[isize]| offsets.binary_search_by(|x| d.cmp(x));
+        let mut offsets: Vec<isize> = Vec::new();
+        for i in 0..n {
+            for &c in &a.indices[a.row_ptr[i]..a.row_ptr[i + 1]] {
+                if let Err(at) = slot(c as isize - i as isize, &offsets) {
+                    offsets.insert(at, c as isize - i as isize);
+                    if offsets.len() * n > max_fill * a.nnz() {
+                        return None;
+                    }
+                }
+            }
+        }
+        let mut coef = vec![0.0; offsets.len() * n];
+        for i in 0..n {
+            for (c, v) in a.row_entries(i) {
+                let k = slot(c as isize - i as isize, &offsets).expect("collected above");
+                coef[k * n + c] = v;
+            }
+        }
+        let pad_front = offsets.first().map_or(0, |&d| d.max(0).unsigned_abs());
+        let pad_back = offsets.last().map_or(0, |&d| d.min(0).unsigned_abs());
+        Some(DiagonalMatrix { n, offsets, coef, pad_front, pad_back })
+    }
+
+    /// `(pad_front, pad_back)`: the zeros a padded vector carries before
+    /// and after its `n` entries.
+    pub(crate) fn padding(&self) -> (usize, usize) {
+        (self.pad_front, self.pad_back)
+    }
+
+    /// The columns `v · A` can be nonzero in when every entry of `v`
+    /// outside `rows` is zero.
+    pub(crate) fn reach(&self, rows: Range<usize>) -> Range<usize> {
+        if rows.is_empty() {
+            return 0..0;
+        }
+        rows.start.saturating_sub(self.pad_back)..(rows.end + self.pad_front).min(self.n)
+    }
+
+    /// Writes `out[j] = (v · A)[j]` for the columns `j` in `cols` of a
+    /// padded `v`, leaving the rest of `out` (indexed by column) as it
+    /// is.
+    ///
+    /// Each `out[j]` is `0 + Σ_k A[j − d_k, j] · v[j − d_k]` summed with
+    /// ascending source, so on nonnegative operands (a uniformized `P`
+    /// and a probability vector) the result is bit-identical to
+    /// [`SparseMatrix::vec_mul_into`]: the stored zeros only add `+0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not padded to `pad_front + n + pad_back` entries,
+    /// `out.len() != n`, or `cols` runs past `n`.
+    pub(crate) fn vec_mul_padded(&self, v: &[f64], out: &mut [f64], cols: Range<usize>) {
+        assert_eq!(v.len(), self.pad_front + self.n + self.pad_back, "dimension mismatch");
+        assert_eq!(out.len(), self.n, "output dimension mismatch");
+        let n = self.n;
+        let diagonal = |k: usize| {
+            let start = self.pad_front.wrapping_add_signed(-self.offsets[k]);
+            (&self.coef[k * n..][cols.clone()], &v[start..start + n][cols.clone()])
+        };
+        let out = &mut out[cols.clone()];
+        out.fill(0.0);
+        for k in 0..self.offsets.len() {
+            let (a, va) = diagonal(k);
+            for ((o, &x), &y) in out.iter_mut().zip(a).zip(va) {
+                *o += x * y;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // exact equality asserts deterministic arithmetic
 mod tests {
@@ -408,6 +519,88 @@ mod tests {
         assert_eq!(m.row_entries(0).count(), 0);
         assert_eq!(m.row_entries(2).count(), 0);
         assert_eq!(m.row_entries(3).count(), 0);
+    }
+
+    /// A seeded nonnegative matrix with nonzeros on `offsets` (each
+    /// entry kept with probability 3/4) and vectors with zero runs.
+    fn banded(n: usize, offsets: &[isize], seed: u64) -> (SparseMatrix, Vec<Vec<f64>>) {
+        let mut x = seed;
+        let mut next = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut trips = Vec::new();
+        for i in 0..n {
+            for &d in offsets {
+                let j = i as isize + d;
+                if (0..n as isize).contains(&j) && next() < 0.75 {
+                    trips.push((i, j as usize, next()));
+                }
+            }
+        }
+        let vectors = (0..4)
+            .map(|_| (0..n).map(|_| if next() < 0.3 { 0.0 } else { next() * 1e-300 }).collect())
+            .collect();
+        (SparseMatrix::from_triplets(n, n, &trips), vectors)
+    }
+
+    fn padded(d: &DiagonalMatrix, v: &[f64]) -> Vec<f64> {
+        let (front, back) = d.padding();
+        let mut out = vec![0.0; front];
+        out.extend_from_slice(v);
+        out.resize(front + v.len() + back, 0.0);
+        out
+    }
+
+    #[test]
+    fn diagonal_products_are_bit_identical_to_the_csr_scatter() {
+        // Three diagonals (a pool's), five and two, on vectors whose
+        // entries reach the subnormal range.
+        for (offsets, seed) in [(&[1, 0, -1][..], 1), (&[3, 1, 0, -1, -4][..], 2), (&[2, 0], 3)] {
+            let (a, vectors) = banded(37, offsets, seed);
+            let d = DiagonalMatrix::from_sparse(&a, 2).expect("banded");
+            for v in vectors {
+                let mut want = vec![0.0; 37];
+                a.vec_mul_into(&v, &mut want);
+                let mut got = vec![7.0; 37];
+                d.vec_mul_padded(&padded(&d, &v), &mut got, 0..37);
+                let bits = |x: &[f64]| x.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "offsets {offsets:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn products_over_columns_leave_the_rest_alone() {
+        let (a, vectors) = banded(20, &[1, 0, -1], 4);
+        let d = DiagonalMatrix::from_sparse(&a, 2).unwrap();
+        let mut v = vectors[0].clone();
+        v[..8].fill(0.0);
+        v[12..].fill(0.0);
+        let cols = d.reach(8..12);
+        assert_eq!(cols, 7..13);
+        let mut out = vec![-1.0; 20];
+        d.vec_mul_padded(&padded(&d, &v), &mut out, cols.clone());
+        let mut want = vec![0.0; 20];
+        a.vec_mul_into(&v, &mut want);
+        for j in 0..20 {
+            assert_eq!(out[j], if cols.contains(&j) { want[j] } else { -1.0 }, "column {j}");
+        }
+        assert_eq!(d.reach(0..20), 0..20);
+        assert_eq!(d.reach(5..5), 0..0);
+    }
+
+    #[test]
+    fn scattered_nonzeros_keep_csr() {
+        let (tri, _) = banded(30, &[1, 0, -1], 5);
+        let d = DiagonalMatrix::from_sparse(&tri, 2).unwrap();
+        assert_eq!((d.offsets.len(), d.padding()), (3, (1, 1)));
+        // Seven diagonals of one entry each: 7 × 30 slots for 7
+        // nonzeros.
+        let scattered: Vec<_> = (0..7).map(|k| (k, (k * 4 + 1) % 30, 1.0)).collect();
+        let sparse = SparseMatrix::from_triplets(30, 30, &scattered);
+        assert!(DiagonalMatrix::from_sparse(&sparse, 2).is_none());
+        assert!(DiagonalMatrix::from_sparse(&SparseMatrix::from_triplets(2, 3, &[]), 2).is_none());
     }
 
     #[test]

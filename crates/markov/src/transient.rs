@@ -14,11 +14,18 @@
 //! only over `τ = t/2^s` with `Λτ ≤ 1` (about 20 terms) into a dense
 //! `e^{Qτ}`, then squares it `s = ⌈log2 Λt⌉` times. The kernel is chosen
 //! from the chain's size and `Λt`; DESIGN.md records the crossover.
+//!
+//! The series stores `P` by diagonal when the chain's nonzeros lie on a
+//! few diagonals, as a k-out-of-n pool's do, and multiplies only the
+//! range of states its distribution has not underflowed out of; both
+//! leave every product bit-identical to the CSR scatter.
+
+use std::ops::Range;
 
 use crate::ctmc::{CancelToken, Ctmc};
 use crate::dense::DenseMatrix;
 use crate::error::MarkovError;
-use crate::matrix::SparseMatrix;
+use crate::matrix::{DiagonalMatrix, SparseMatrix};
 
 /// Options for the uniformization solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -287,6 +294,104 @@ fn select_kernel(states: usize, lt: f64) -> TransientKernel {
     }
 }
 
+/// Most slots per stored nonzero that diagonal storage of `P` may take
+/// (DESIGN.md §17): a k-out-of-n pool's three diagonals store about one
+/// slot per nonzero, while the Type 1–4 templates would store 2.7–18
+/// (median 5.3), and their series run slower on diagonals than on CSR.
+const DIAGONAL_MAX_FILL: usize = 2;
+
+/// The uniformized `P` as the series multiplies it: by diagonal when its
+/// nonzeros lie on a few diagonals, otherwise as the CSR matrix. Both
+/// give bit-identical products on the series' nonnegative operands.
+enum SeriesMatrix<'a> {
+    Diagonals(DiagonalMatrix),
+    Csr(&'a SparseMatrix),
+}
+
+/// A series iterate: its `n` entries behind the matrix's zero padding,
+/// and the range `live` outside which every entry is zero.
+///
+/// A large pool's distribution has underflowed to zero over most of its
+/// deep states, so products, accumulations and the stopping test run
+/// over `live` only. What they skip would only add exact zeros.
+struct Iterate {
+    padded: Vec<f64>,
+    front: usize,
+    n: usize,
+    live: Range<usize>,
+}
+
+impl Iterate {
+    fn entries(&self) -> &[f64] {
+        &self.padded[self.front..self.front + self.n]
+    }
+
+    fn live_entries(&self) -> &[f64] {
+        &self.entries()[self.live.clone()]
+    }
+
+    /// Narrows `live` past the zeros at both of its ends.
+    fn trim(&mut self) {
+        let r = self.live.clone();
+        let e = &self.entries()[r.clone()];
+        let start = r.start + e.iter().take_while(|&&x| x == 0.0).count();
+        let end = r.end - e.iter().rev().take_while(|&&x| x == 0.0).count();
+        self.live = start..end.max(start);
+    }
+}
+
+impl<'a> SeriesMatrix<'a> {
+    fn new(p: &'a SparseMatrix) -> Self {
+        DiagonalMatrix::from_sparse(p, DIAGONAL_MAX_FILL)
+            .map_or(SeriesMatrix::Csr(p), SeriesMatrix::Diagonals)
+    }
+
+    fn storage(&self) -> &'static str {
+        match self {
+            SeriesMatrix::Diagonals(_) => "diagonals",
+            SeriesMatrix::Csr(_) => "csr",
+        }
+    }
+
+    /// `v` as an iterate, every entry live.
+    fn iterate(&self, v: &[f64]) -> Iterate {
+        let mut it = self.zeros(v.len());
+        it.padded[it.front..it.front + it.n].copy_from_slice(v);
+        it.live = 0..it.n;
+        it
+    }
+
+    /// An all-zero iterate of `n` entries.
+    fn zeros(&self, n: usize) -> Iterate {
+        let (front, back) = match self {
+            SeriesMatrix::Diagonals(d) => d.padding(),
+            SeriesMatrix::Csr(_) => (0, 0),
+        };
+        Iterate { padded: vec![0.0; front + n + back], front, n, live: 0..0 }
+    }
+
+    /// `next = probs · P`, with `next.live` trimmed to its nonzeros.
+    fn product(&self, probs: &Iterate, next: &mut Iterate) {
+        match self {
+            SeriesMatrix::Diagonals(d) => {
+                let cols = d.reach(probs.live.clone());
+                let stale = next.live.clone();
+                let out = &mut next.padded[next.front..next.front + next.n];
+                // What `next` held outside the new columns goes to zero.
+                out[stale.start..cols.start.clamp(stale.start, stale.end)].fill(0.0);
+                out[cols.end.clamp(stale.start, stale.end)..stale.end].fill(0.0);
+                d.vec_mul_padded(&probs.padded, out, cols.clone());
+                next.live = cols;
+            }
+            SeriesMatrix::Csr(p) => {
+                p.vec_mul_into(&probs.padded, &mut next.padded);
+                next.live = 0..next.n;
+            }
+        }
+        next.trim();
+    }
+}
+
 /// The uniformization series: `p(t) = Σ_k w_k p0 Pᵏ` and the cumulative
 /// reward `(1/Λ) Σ_k W_k p0 Pᵏ r` with `W_k = Σ_{j>k} w_j`.
 ///
@@ -304,7 +409,8 @@ fn series(
     span: &mut rascad_obs::Span,
 ) -> Result<KernelRun, MarkovError> {
     let n = p0.len();
-    let mut probs = p0.to_vec();
+    let matrix = SeriesMatrix::new(&uni.dtmc);
+    let mut probs = matrix.iterate(p0);
     let mut point_acc = vec![0.0; n];
     let mut cum_acc = vec![0.0; n];
 
@@ -339,9 +445,9 @@ fn series(
     };
 
     let mut steps = 0usize;
-    // Scratch iterate reused across every SpMV step so the Poisson
-    // series allocates nothing per term.
-    let mut next = vec![0.0; n];
+    // Scratch iterate reused across every product so the Poisson series
+    // allocates nothing per term.
+    let mut next = matrix.zeros(n);
     // Truncation-error series: the tail is exactly the Poisson mass not
     // yet captured after term k, i.e. the running truncation error.
     let mut trace = rascad_obs::trace::begin("transient", "truncation", n);
@@ -351,30 +457,24 @@ fn series(
             return Err(MarkovError::Cancelled { method: "transient", iterations: k });
         }
         let tail_k = if k < lo { below } else { tail[k - lo] };
+        let live = probs.live.clone();
         if k >= lo {
-            let w = weights[k - lo];
-            for i in 0..n {
-                point_acc[i] += w * probs[i];
-            }
+            axpy(weights[k - lo], probs.live_entries(), &mut point_acc[live.clone()]);
         }
-        for i in 0..n {
-            cum_acc[i] += tail_k * probs[i];
-        }
+        axpy(tail_k, probs.live_entries(), &mut cum_acc[live]);
         trace.step(k + 1, tail_k);
         if k < kmax {
-            uni.dtmc.vec_mul_into(&probs, &mut next);
+            matrix.product(&probs, &mut next);
             steps += 1;
             // Steady-state detection: once the DTMC iterates stop
             // moving, all remaining Poisson mass lands on the same
             // vector — close both series in one step.
-            let delta: f64 = next.iter().zip(&probs).map(|(a, b)| (a - b).abs()).sum();
+            let settled = l1_distance_below(&next, &probs, opts.epsilon * 1e-3);
             std::mem::swap(&mut probs, &mut next);
-            if delta < opts.epsilon * 1e-3 {
-                let tail2_next = tail2_at(k + 1);
-                for i in 0..n {
-                    point_acc[i] += tail_k * probs[i];
-                    cum_acc[i] += tail2_next * probs[i];
-                }
+            if settled {
+                let live = probs.live.clone();
+                axpy(tail_k, probs.live_entries(), &mut point_acc[live.clone()]);
+                axpy(tail2_at(k + 1), probs.live_entries(), &mut cum_acc[live]);
                 break;
             }
         }
@@ -382,6 +482,7 @@ fn series(
     trace.finish("done");
     span.record("kmax", kmax);
     span.record("steps", steps);
+    span.record("storage", matrix.storage());
     rascad_obs::record_value("markov.transient.kmax", kmax as f64);
     rascad_obs::counter("markov.transient.vec_mul_steps", steps as u64);
 
@@ -390,6 +491,22 @@ fn series(
     let truncation = (1.0 - point_acc.iter().sum::<f64>()).max(0.0);
     let cumulative = dot(&cum_acc, rewards) / uni.rate;
     Ok(KernelRun { probabilities: point_acc, cumulative, truncation })
+}
+
+/// `acc += a · x`, element by element.
+fn axpy(a: f64, x: &[f64], acc: &mut [f64]) {
+    for (s, &v) in acc.iter_mut().zip(x) {
+        *s += a * v;
+    }
+}
+
+/// Whether `Σ_j |a_j − b_j|`, summed in index order over the hull of
+/// both live ranges, is below `threshold`: the series' stopping test.
+/// Entries outside the hull are zero in both and add nothing.
+fn l1_distance_below(a: &Iterate, b: &Iterate, threshold: f64) -> bool {
+    let live = a.live.start.min(b.live.start)..a.live.end.max(b.live.end);
+    let (a, b) = (&a.entries()[live.clone()], &b.entries()[live]);
+    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>() < threshold
 }
 
 /// Nonnegative doubling. With `s = ⌈log2 Λt⌉` and `τ = t/2^s` (so
@@ -579,11 +696,13 @@ pub fn solve_grid(
     // Row-major accumulators: time point `i` owns `[i * n .. (i+1) * n]`.
     let mut point_acc = vec![0.0; times.len() * n];
     let mut cum_acc = vec![0.0; times.len() * n];
-    let mut probs = p0.to_vec();
-    // Scratch iterate reused across every SpMV step (no per-term
+    let matrix = SeriesMatrix::new(&uni.dtmc);
+    let mut probs = matrix.iterate(p0);
+    // Scratch iterate reused across every product (no per-term
     // allocation in the shared-series sweep).
-    let mut next = vec![0.0; n];
+    let mut next = matrix.zeros(n);
     for k in 0..=kmax {
+        let live = probs.live.clone();
         for i in 0..times.len() {
             let (off, lo) = (offsets[i], los[i]);
             if k < lo + offsets[i + 1] - off {
@@ -593,17 +712,13 @@ pub fn solve_grid(
                     (weights[off + k - lo], tails[off + k - lo])
                 };
                 let pa = &mut point_acc[i * n..(i + 1) * n];
-                for (s, p) in pa.iter_mut().enumerate() {
-                    *p += wk * probs[s];
-                }
+                axpy(wk, probs.live_entries(), &mut pa[live.clone()]);
                 let ca = &mut cum_acc[i * n..(i + 1) * n];
-                for (s, c) in ca.iter_mut().enumerate() {
-                    *c += tk * probs[s];
-                }
+                axpy(tk, probs.live_entries(), &mut ca[live.clone()]);
             }
         }
         if k < kmax {
-            uni.dtmc.vec_mul_into(&probs, &mut next);
+            matrix.product(&probs, &mut next);
             std::mem::swap(&mut probs, &mut next);
         }
     }
@@ -937,6 +1052,27 @@ mod tests {
         assert_eq!(out[1].time, 1.0);
         assert!(solve_grid(&c, &[1.0, 0.0], &[-1.0], TransientOptions::default()).is_err());
         assert!(solve_grid(&c, &[0.9, 0.0], &[1.0], TransientOptions::default()).is_err());
+    }
+
+    #[test]
+    fn pools_run_on_diagonals_and_dense_chains_on_csr() {
+        let pool = uniformize(&independent_units(30, 20, 1e-3, 0.25));
+        assert_eq!(SeriesMatrix::new(&pool.dtmc).storage(), "diagonals");
+        // Jumps scattered over many offsets, as in the Type 1–4
+        // templates.
+        let mut b = CtmcBuilder::new();
+        for i in 0..20 {
+            b.add_state(format!("s{i}"), 1.0);
+        }
+        for i in 0..20usize {
+            for j in [(i * 7 + 3) % 20, (i * 3 + 1) % 20] {
+                if j != i {
+                    b.add_transition(i, j, 0.5);
+                }
+            }
+        }
+        let scattered = uniformize(&b.build().unwrap());
+        assert_eq!(SeriesMatrix::new(&scattered.dtmc).storage(), "csr");
     }
 
     #[test]

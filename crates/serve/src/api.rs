@@ -412,7 +412,7 @@ pub fn solution_json(sol: &SystemSolution) -> Value {
                         obj(vec![
                             ("path", Value::Str(b.path.clone())),
                             ("availability", Value::Num(b.measures.availability)),
-                            ("states", int(b.model.state_count())),
+                            ("states", int(b.model.states)),
                             (
                                 "certificate",
                                 obj(vec![

@@ -32,7 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "weakest block: {} ({:.2} downtime min/yr)",
         weakest.path, weakest.measures.yearly_downtime_minutes
     );
-    for (mode, p) in rascad::core::measures::failure_mode_attribution(&weakest.model)? {
+    // A solution keeps each chain's shape, not the chain: regenerate the
+    // weakest block's model for its failure modes.
+    let (_, in_root) = weakest.path.split_once('/').expect("paths start at the root diagram");
+    let block = high_end.root.find(in_root).expect("a solved block is in the spec");
+    let weakest_model = generate_block(&block.params, &high_end.globals)?;
+    for (mode, p) in rascad::core::measures::failure_mode_attribution(&weakest_model)? {
         println!("  first failure via {mode:<16} {:>6.2}%", p * 100.0);
     }
 

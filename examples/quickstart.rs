@@ -61,8 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let disks = solution.block("Database Server/Mirrored Disks").expect("block exists");
     println!(
         "\nThe disk pair generated a Type {} Markov model with {} states.",
-        disks.model.model_type,
-        disks.model.state_count()
+        disks.model.model_type, disks.model.states
     );
     Ok(())
 }

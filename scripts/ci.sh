@@ -171,6 +171,30 @@ SPEC
 cargo run --offline -q -p rascad-cli -- solve target/ci_pool60.rascad > target/ci_pool60.txt
 grep -q '^System MTTF *: 4.2399e136 h$' target/ci_pool60.txt
 
+# A 3000-unit pool over a one-hour mission: its availability rounds
+# above 1, and the system unavailability (rolled up from the blocks,
+# not 1 − A) must still print as nonnegative.
+echo "==> pool unavailability smoke (3000 units, min_quantity 1, 1 h mission: not negative)"
+cat > target/ci_pool3000.rascad <<'SPEC'
+global {
+    mission_time = 1 h
+}
+diagram "Pool" {
+    block "Units" {
+        quantity = 3000
+        min_quantity = 1
+        mtbf = 10000 h
+    }
+}
+SPEC
+cargo run --offline -q -p rascad-cli -- solve target/ci_pool3000.rascad > target/ci_pool3000.txt
+grep -q '^System unavailability *: ' target/ci_pool3000.txt
+if grep -q '^System unavailability *: -' target/ci_pool3000.txt; then
+    echo "pool unavailability smoke: negative system unavailability"
+    cat target/ci_pool3000.txt
+    exit 1
+fi
+
 # Serve smoke: boot the daemon on an ephemeral port, drive the
 # store -> solve -> metrics path over real TCP, then SIGTERM it and
 # require a clean drain (exit 0). A 50 ms deadline on a 10^5-state

@@ -1,6 +1,8 @@
 //! The two transient kernels — the uniformization series and
 //! nonnegative doubling — agree on every chain the Model Generator
 //! builds, and each chain family runs the kernel its size calls for.
+//! The series, which stores a pool's `P` by diagonal, is bit-identical
+//! to the CSR scatter series it replaced, kept here as the reference.
 //! On the same chains, the band-elimination MTTF and failure modes
 //! agree with a dense LU solve of `−Q_UU`.
 
@@ -8,10 +10,17 @@ use rascad::core::generator::{generate_block, BlockModel};
 use rascad::library::{cluster, datacenter, e10000, workgroup};
 use rascad::markov::absorbing::{self, make_absorbing};
 use rascad::markov::dense::DenseMatrix;
-use rascad::markov::transient::{kernel_for, solve_with, TransientKernel};
+use rascad::markov::transient::{
+    kernel_for, solve, solve_grid, solve_with, uniformize, TransientKernel, TransientSolution,
+};
 use rascad::markov::{Ctmc, TransientOptions};
 use rascad::spec::units::{Fit, Hours, Minutes};
-use rascad::spec::{BlockParams, GlobalParams, RedundancyParams, Scenario, SystemSpec};
+use rascad::spec::{
+    Block, BlockParams, Diagram, GlobalParams, RedundancyParams, Scenario, SystemSpec,
+};
+use rascad_obs::{Event, FieldValue, Sink};
+use std::cell::Cell;
+use std::sync::Once;
 
 const HORIZONS: [f64; 2] = [720.0, 8760.0];
 const SCENARIOS: [Scenario; 2] = [Scenario::Transparent, Scenario::Nontransparent];
@@ -258,4 +267,295 @@ fn ill_conditioned_mttf_matches_its_exact_value() {
         }
     });
     assert_eq!(checked, 1);
+}
+
+/// Poisson weights `w_k = e^{-m} m^k / k!` over the window `[lo, kmax]`
+/// whose truncated mass is below `epsilon`: the series' own weights
+/// (direct recurrence below `m = 400`, mode-centred and normalized
+/// above).
+#[allow(clippy::cast_precision_loss)] // term indices stay far below 2^52
+fn poisson_window(m: f64, epsilon: f64) -> (usize, Vec<f64>) {
+    if m <= 0.0 {
+        return (0, vec![1.0]);
+    }
+    if m < 400.0 {
+        let mut wk = (-m).exp();
+        let (mut acc, mut w, mut k) = (wk, vec![wk], 1usize);
+        while 1.0 - acc > epsilon {
+            wk *= m / k as f64;
+            w.push(wk);
+            acc += wk;
+            k += 1;
+        }
+        return (0, w);
+    }
+    let mode = m.floor() as usize;
+    let spread = (6.0 * m.sqrt()).ceil() as usize + 40;
+    let (lo, hi) = (mode.saturating_sub(spread), mode + spread);
+    let mut w = vec![0.0; hi - lo + 1];
+    w[mode - lo] = 1.0;
+    for k in (mode + 1)..=hi {
+        w[k - lo] = w[k - lo - 1] * m / k as f64;
+    }
+    for k in (lo..mode).rev() {
+        w[k - lo] = w[k - lo + 1] * (k as f64 + 1.0) / m;
+    }
+    let total: f64 = w.iter().sum();
+    for x in &mut w {
+        *x /= total;
+    }
+    (lo, w)
+}
+
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// The uniformization series as it ran on CSR: every term's scatter
+/// product `vec_mul_into` over all states, then the point and
+/// cumulative accumulators and (with `stop`) the L1 stopping test, each
+/// a pass of its own — the reference the diagonal kernel must match bit
+/// for bit. `solve_grid` runs without the stopping test. Returns the
+/// solution and the products it ran.
+fn csr_series(chain: &Ctmc, p0: &[f64], t: f64, stop: bool) -> (TransientSolution, usize) {
+    let opts = TransientOptions::default();
+    let rewards = chain.rewards();
+    let uni = uniformize(chain);
+    let n = p0.len();
+    let (lo, weights) = poisson_window(uni.rate * t, opts.epsilon);
+    let kmax = lo + weights.len() - 1;
+    let mut tail = vec![0.0; weights.len()];
+    let mut below = 0.0;
+    for (t, &w) in tail.iter_mut().zip(&weights).rev() {
+        *t = below;
+        below += w;
+    }
+    let mut tail2 = vec![0.0; weights.len() + 1];
+    for i in (0..weights.len()).rev() {
+        tail2[i] = tail2[i + 1] + tail[i];
+    }
+    let tail2_at = |k: usize| {
+        if k >= lo {
+            return tail2[k - lo];
+        }
+        let mut x = tail2[0];
+        for _ in k..lo {
+            x += below;
+        }
+        x
+    };
+    let (mut probs, mut next) = (p0.to_vec(), vec![0.0; n]);
+    let (mut point_acc, mut cum_acc) = (vec![0.0; n], vec![0.0; n]);
+    let mut steps = 0;
+    for k in 0..=kmax {
+        let tail_k = if k < lo { below } else { tail[k - lo] };
+        if k >= lo {
+            let w = weights[k - lo];
+            for i in 0..n {
+                point_acc[i] += w * probs[i];
+            }
+        }
+        for i in 0..n {
+            cum_acc[i] += tail_k * probs[i];
+        }
+        if k < kmax {
+            uni.dtmc.vec_mul_into(&probs, &mut next);
+            steps += 1;
+            let delta: f64 = next.iter().zip(&probs).map(|(a, b)| (a - b).abs()).sum();
+            std::mem::swap(&mut probs, &mut next);
+            if stop && delta < opts.epsilon * 1e-3 {
+                let tail2_next = tail2_at(k + 1);
+                for i in 0..n {
+                    point_acc[i] += tail_k * probs[i];
+                    cum_acc[i] += tail2_next * probs[i];
+                }
+                break;
+            }
+        }
+    }
+    let truncation = (1.0 - point_acc.iter().sum::<f64>()).max(0.0);
+    let cumulative = dot(&cum_acc, &rewards) / uni.rate;
+    let mass: f64 = point_acc.iter().sum();
+    if mass > 0.0 {
+        for p in &mut point_acc {
+            *p /= mass;
+        }
+    }
+    let max_reward = rewards.iter().cloned().fold(0.0, f64::max);
+    let solution = TransientSolution {
+        time: t,
+        point_reward: dot(&point_acc, &rewards),
+        probabilities: point_acc,
+        interval_reward: (cumulative / t).clamp(0.0, max_reward),
+        truncation,
+        kernel: TransientKernel::Series,
+    };
+    (solution, steps)
+}
+
+thread_local! {
+    /// The `steps` field of the last `markov.transient` span this
+    /// thread closed: the products its series ran, the count
+    /// `markov.transient.vec_mul_steps` adds up.
+    static SERIES_STEPS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Keeps each series span's `steps` on the thread that closed it, so
+/// tests running side by side read only their own solves.
+struct StepSink;
+
+impl Sink for StepSink {
+    fn event(&mut self, event: &Event) {
+        if let Event::SpanEnd { name: "markov.transient", fields, .. } = event {
+            for (key, value) in fields {
+                if let ("steps", FieldValue::U64(steps)) = (*key, value) {
+                    SERIES_STEPS.with(|c| c.set(Some(*steps as usize)));
+                }
+            }
+        }
+    }
+}
+
+/// Runs one solve with telemetry on and returns its result with the
+/// products its series ran (`None` when doubling ran instead).
+fn with_series_steps<T>(solve: impl FnOnce() -> T) -> (T, Option<usize>) {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| rascad_obs::install(vec![Box::new(StepSink)]));
+    SERIES_STEPS.with(|c| c.set(None));
+    let out = solve();
+    (out, SERIES_STEPS.with(Cell::take))
+}
+
+/// `got` and `want` as raw bits, every probability included.
+fn assert_bit_identical(what: &str, got: &TransientSolution, want: &TransientSolution) {
+    let bits = |s: &TransientSolution| {
+        let mut v = vec![s.point_reward.to_bits(), s.interval_reward.to_bits()];
+        v.push(s.truncation.to_bits());
+        v.extend(s.probabilities.iter().map(|p| p.to_bits()));
+        v
+    };
+    assert!(bits(got) == bits(want), "{what}: {got:?}\nvs the CSR series {want:?}");
+}
+
+/// One block's mission step on both series: interval and point from
+/// `Ok` to `t`, and the reliability pair `R(t)`, `R(t + dt)` as
+/// `reliability_curve` computes it (the second point from the first's
+/// distribution, on whichever kernel the library selects for each
+/// gap; doubling is untouched, so only series gaps take the
+/// reference), each with the reference's count of products. Returns
+/// the series products run.
+fn assert_series_matches_csr(what: &str, model: &BlockModel, t: f64) -> usize {
+    let chain = &model.chain;
+    let mut p0 = vec![0.0; chain.len()];
+    p0[model.ok_state()] = 1.0;
+    let opts = TransientOptions::default();
+    let (got, steps) =
+        with_series_steps(|| solve_with(chain, &p0, t, opts, TransientKernel::Series).unwrap());
+    let (want, want_steps) = csr_series(chain, &p0, t, true);
+    assert_bit_identical(&format!("{what} at {t} h"), &got, &want);
+    assert_eq!(steps, Some(want_steps), "{what} at {t} h: vec_mul_steps");
+    let mut products = want_steps;
+    if chain.down_states().is_empty() {
+        return products;
+    }
+    let abs = make_absorbing(chain);
+    let dt = (t * 1e-3).max(1e-6);
+    let curve = absorbing::reliability_curve(chain, model.ok_state(), &[t, t + dt]).unwrap();
+    let mut p = p0;
+    let mut at = 0.0;
+    for (i, to) in [t, t + dt].into_iter().enumerate() {
+        let gap = to - at;
+        let (step, steps) = with_series_steps(|| solve(&abs, &p, gap, opts).unwrap());
+        if step.kernel == TransientKernel::Series {
+            let (want, want_steps) = csr_series(&abs, &p, gap, true);
+            let over = format!("{what}: R over ({at}, {to}) h");
+            assert_bit_identical(&over, &step, &want);
+            assert_eq!(steps, Some(want_steps), "{over}: vec_mul_steps");
+            products += want_steps;
+        }
+        p = step.probabilities;
+        at = to;
+        let r: f64 = abs.up_states().iter().map(|&s| p[s]).sum();
+        assert_eq!(curve.reliability[i].to_bits(), r.clamp(0.0, 1.0).to_bits(), "{what}: R");
+    }
+    products
+}
+
+/// Pools of 9–800 units, each `min_quantity` regime, at both horizons.
+/// Pools past 100 units take `MTTM = 0` (the exact-lump regime): with
+/// the default deferred service an 800-unit pool's series runs ~230k
+/// products per solve, minutes in a debug build, against ~25–45k here
+/// over the same three diagonals. There the series settles before
+/// 720 h, so the 800-unit pools run at 8,760 h only: at 720 h they would
+/// repeat the same products.
+#[test]
+fn series_matches_the_csr_reference_on_pools() {
+    let mut products = 0;
+    for n in [9u32, 40, 150, 800] {
+        let mut g = GlobalParams::default();
+        if n > 100 {
+            g.mttm = Hours(0.0);
+        }
+        for k in [1, n / 2, n * 9 / 10, n - 1] {
+            let pool = BlockParams::new("Pool", n, k).with_mtbf(Hours(9_000.0));
+            let model = generate_block(&pool, &g).unwrap();
+            for t in if n == 800 { &HORIZONS[1..] } else { &HORIZONS[..] } {
+                products += assert_series_matches_csr(&format!("{n}/{k} pool"), &model, *t);
+            }
+        }
+    }
+    eprintln!("pool census: {products} series products, each bit-identical to CSR");
+}
+
+#[test]
+fn series_matches_the_csr_reference_on_every_template() {
+    for model in templates() {
+        let what =
+            format!("type {} N={} K={}", model.model_type, model.quantity, model.min_quantity);
+        assert_series_matches_csr(&what, &model, 720.0);
+    }
+}
+
+#[test]
+fn series_matches_the_csr_reference_on_every_bundled_spec_and_library_block() {
+    for (name, spec) in bundled_specs() {
+        let mission = spec.globals.mission_time.0;
+        spec.root.walk(&mut |_, path, block| {
+            let model = generate_block(&block.params, &spec.globals).unwrap();
+            for t in [720.0, mission] {
+                assert_series_matches_csr(&format!("{name}: {path}"), &model, t);
+            }
+        });
+    }
+}
+
+/// `solve_grid` shares one series across its time points, with no
+/// stopping test; every point matches the CSR series run to that time
+/// alone without one. The hierarchy nests a pool (diagonal storage)
+/// beside template blocks (CSR).
+#[test]
+fn grid_matches_the_csr_reference_on_a_hierarchy() {
+    let mut rack = Diagram::new("Rack");
+    rack.push(BlockParams::new("Pool", 120, 108).with_mtbf(Hours(9_000.0)));
+    rack.push(template(2, 1, Scenario::Nontransparent, Scenario::Transparent));
+    let mut root = Diagram::new("Sys");
+    root.push_block(Block::with_subdiagram(template(1, 1, SCENARIOS[0], SCENARIOS[0]), rack));
+    let spec = SystemSpec::new(root, GlobalParams::default());
+    let times = [0.5, 24.0, 720.0];
+    let mut storages = 0;
+    spec.root.walk(&mut |_, path, block| {
+        let model = generate_block(&block.params, &spec.globals).unwrap();
+        let mut p0 = vec![0.0; model.chain.len()];
+        p0[model.ok_state()] = 1.0;
+        let grid = solve_grid(&model.chain, &p0, &times, TransientOptions::default()).unwrap();
+        for (got, &t) in grid.iter().zip(&times) {
+            let (want, _) = csr_series(&model.chain, &p0, t, false);
+            let what = format!("{path} grid at {t} h");
+            assert_eq!(got.point_reward.to_bits(), want.point_reward.to_bits(), "{what}");
+            assert_eq!(got.interval_reward.to_bits(), want.interval_reward.to_bits(), "{what}");
+            assert_eq!(got.truncation.to_bits(), want.truncation.to_bits(), "{what}");
+        }
+        storages += 1;
+    });
+    assert_eq!(storages, 3);
 }
