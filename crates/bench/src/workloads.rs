@@ -197,23 +197,6 @@ pub const SWEEP_SCALING_BLOCK: &str = "Target";
 /// hitting on 19 of 20 points = 85.5%) is defined at this size.
 pub const SWEEP_SCALING_POINTS: usize = 20;
 
-/// A mild (non-stiff) six-state birth–death chain for the
-/// power-iteration stage. Rates span a single order of magnitude, so
-/// the uniformized DTMC mixes in a few thousand iterations — the
-/// template chains are far too stiff for power iteration (that failure
-/// mode is what [`rascad_markov::MarkovError::NotConverged`] reports).
-#[must_use]
-pub fn power_chain() -> Ctmc {
-    let mut b = CtmcBuilder::new();
-    let ids: Vec<_> =
-        (0..6).map(|i| b.add_state(format!("s{i}"), if i < 4 { 1.0 } else { 0.0 })).collect();
-    for w in ids.windows(2) {
-        b.add_transition(w[0], w[1], 0.6);
-        b.add_transition(w[1], w[0], 2.5);
-    }
-    b.build().expect("bench power chain builds")
-}
-
 /// Builds the large-chain workload: a birth–death CTMC with `states`
 /// levels (a k-out-of-n pool of `states - 1` units), per-level failure
 /// rate `(n - j)·λ` and repair rate `(j + 1)·μ`. Rates span a benign
@@ -304,15 +287,6 @@ mod tests {
         assert!(spec.root.find(SWEEP_SCALING_BLOCK).is_some());
         let solution = solve_spec(&spec).unwrap();
         assert!(solution.system.availability > 0.9);
-    }
-
-    #[test]
-    fn power_chain_converges_under_power_iteration() {
-        let pi = power_chain().steady_state(SteadyStateMethod::Power).unwrap();
-        let gth = power_chain().steady_state(SteadyStateMethod::Gth).unwrap();
-        for (a, b) in pi.iter().zip(&gth) {
-            assert!((a - b).abs() < 1e-9, "power {a} vs gth {b}");
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! `BENCH_*.json` baselines and regression comparison.
 //!
 //! Runs the whole generate-and-solve pipeline as a fixed workload suite
-//! (spec parse, MG generation for all five chain types, GTH/LU/power
+//! (spec parse, MG generation for all five chain types, GTH and LU
 //! stationary solves, transient and interval analysis, hierarchy
 //! roll-up, parametric sweep, bounded simulation), captures per-stage
 //! wall-clock plus the span/metric telemetry aggregated by
@@ -502,7 +502,6 @@ fn run_stages(profile: &BenchProfile) -> Result<Run, CliError> {
     let blocks = workloads::chain_type_blocks();
     let hierarchy = workloads::hierarchy_spec();
     let sweep_base = workloads::sweep_spec();
-    let power = workloads::power_chain();
     let reps = profile.iterations;
 
     let mut stages = Vec::new();
@@ -531,8 +530,6 @@ fn run_stages(profile: &BenchProfile) -> Result<Run, CliError> {
 
     stages.push(steady_stage("solve_gth", reps, &chains, SteadyStateMethod::Gth, "gth")?);
     stages.push(steady_stage("solve_lu", reps, &chains, SteadyStateMethod::Lu, "lu")?);
-    let power = std::slice::from_ref(&power);
-    stages.push(steady_stage("solve_power", reps, power, SteadyStateMethod::Power, "power")?);
 
     // Type 3 is the paper's diagrammed template; start in the
     // everything-working state.
@@ -1634,7 +1631,6 @@ mod tests {
             "generate_type4",
             "solve_gth",
             "solve_lu",
-            "solve_power",
             "transient",
             "interval_exact",
             "hierarchy",
@@ -1646,13 +1642,7 @@ mod tests {
 
         // Solver numerical-health telemetry captured through rascad-obs.
         let values = doc.get("values").unwrap();
-        for key in [
-            "markov.gth.min_pivot",
-            "markov.residual{method=\"power\"}",
-            "markov.iterations{method=\"power\"}",
-            "markov.lu.condest",
-            "markov.transient.truncation",
-        ] {
+        for key in ["markov.gth.min_pivot", "markov.lu.condest", "markov.transient.truncation"] {
             let snap = values.get(key).unwrap_or_else(|| panic!("missing value {key}"));
             assert!(snap.get("count").unwrap().as_f64().unwrap() >= 1.0, "{key}");
         }
@@ -1672,7 +1662,7 @@ mod tests {
         // Every solving stage carries an accuracy certificate; the
         // deterministic workload certifies clean.
         let stages = doc.get("stages").unwrap().as_array().unwrap();
-        for name in ["solve_gth", "solve_lu", "solve_power", "transient", "hierarchy", "sweep"] {
+        for name in ["solve_gth", "solve_lu", "transient", "hierarchy", "sweep"] {
             let stage = stages
                 .iter()
                 .find(|s| s.get("name").and_then(Value::as_str) == Some(name))

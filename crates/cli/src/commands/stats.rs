@@ -336,7 +336,7 @@ mod tests {
         // Robustness counters cannot fire on a healthy solve, yet they
         // appear (zero-filled from the catalog), as does every other
         // catalogued counter family.
-        for name in ["engine.worker_panics", "solve.fallbacks", "solve.timeouts"] {
+        for name in ["engine.worker_panics", "solve.timeouts"] {
             assert!(out.contains(name), "missing zero-filled {name}: {out}");
         }
         for desc in CATALOG {

@@ -124,13 +124,12 @@ fn strict_panic_is_a_typed_solver_error_with_exit_4() {
 }
 
 #[test]
-fn not_converged_reports_the_full_fallback_trail() {
+fn not_converged_fault_is_a_typed_singular_with_exit_4() {
     let (spec, plan) = fixture("notconv", "[[inject]]\nblock = \"A\"\nkind = \"not-converged\"\n");
     let (code, _, stderr) =
         rascad(&["solve", spec.to_str().unwrap(), "--inject", plan.to_str().unwrap()]);
     assert_eq!(code, Some(4), "{stderr}");
-    // Default method is GTH (the last rung), so the fault surfaces as
-    // its own typed error rather than a one-rung ladder wrapper.
+    // The plan kind fails the block's one steady solve as singular.
     assert!(stderr.contains("singular"), "{stderr}");
     cleanup(&[&spec, &plan]);
 }

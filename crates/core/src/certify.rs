@@ -81,8 +81,8 @@ pub struct SolutionCertificate {
     pub condition_estimate: Option<f64>,
     /// The method that produced the certified distribution.
     pub method: String,
-    /// The solve's method trail: one entry per ladder attempt, e.g.
-    /// `["power: not converged after 1000 iterations", "lu: ok"]`.
+    /// The solve's trail: the one method that ran and its outcome,
+    /// `["gth: ok"]` or `["lu: ok"]`.
     pub trail: Vec<String>,
     /// The gate decision.
     pub verdict: Verdict,
@@ -147,7 +147,7 @@ pub fn certify_steady(
 
     let n = chain.len();
     let condition_estimate = if n <= CONDEST_MAX_STATES {
-        // The steady-state system the direct rungs solve: Qᵀ with the
+        // The steady-state system an LU solve factors: Qᵀ with the
         // last equation replaced by Σπ = 1.
         let q = generator.to_dense();
         let mut a = DenseMatrix::zeros(n, n);
@@ -267,11 +267,11 @@ mod tests {
         let exact = chain.steady_state(rascad_markov::SteadyStateMethod::Gth).unwrap();
         // Perturb within (1e-9, 1e-6]: a usable but thin result.
         let sloppy: Vec<f64> = exact.iter().map(|p| p + 5e-8).collect();
-        let cert = certify_steady(&chain, &sloppy, "power", vec![]);
+        let cert = certify_steady(&chain, &sloppy, "gth", vec![]);
         assert_eq!(cert.verdict, Verdict::Warn, "{cert:?}");
         // And far beyond the band: fail.
         let garbage: Vec<f64> = exact.iter().map(|p| p + 0.25).collect();
-        let cert = certify_steady(&chain, &garbage, "power", vec![]);
+        let cert = certify_steady(&chain, &garbage, "gth", vec![]);
         assert_eq!(cert.verdict, Verdict::Fail);
     }
 

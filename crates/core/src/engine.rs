@@ -214,11 +214,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub(crate) enum InjectedFault {
     /// Panic inside the worker closure (exercises `catch_unwind`).
     Panic,
-    /// Force every ladder rung to fail retryably.
+    /// Force the steady solve to fail with `Singular` (the plan kind
+    /// `not-converged`, kept because plan files are outside input).
     NotConverged,
     /// Corrupt the generated chain with a NaN rate.
     NanRate,
-    /// Force every ladder rung to report a wall-clock timeout.
+    /// Force the steady solve to report a wall-clock timeout.
     Timeout,
     /// Stall the worker for a real wall-clock delay before solving —
     /// the chaos probe for request deadlines and cancellation.
@@ -639,7 +640,7 @@ impl Engine {
                 &model,
                 method,
                 options,
-                Some(ForcedFailure::NotConverged),
+                Some(ForcedFailure::Singular),
             )?,
             Some(InjectedFault::Timeout) => steady_state_measures_certified(
                 &model,

@@ -176,21 +176,14 @@ mod tests {
     }
 
     #[test]
-    fn thousand_unit_block_solves_on_the_gth_rung() {
+    fn thousand_unit_block_solves_by_band_gth() {
         // 1001 states is far beyond the dense templates but routine for
         // band GTH: the chain is tridiagonal, so elimination is O(n).
         let g = GlobalParams::default();
         let m = generate_block(&params(1000, 900), &g).unwrap();
         assert_eq!(m.state_count(), 1001);
-        let out = crate::solve::steady_state_ladder_outcome(
-            &m.chain,
-            SteadyStateMethod::Gth,
-            &rascad_markov::SolveOptions::default(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(out.method, "gth");
-        let a = m.chain.expected_reward(&out.pi);
+        let pi = m.chain.steady_state(SteadyStateMethod::Gth).unwrap();
+        let a = m.chain.expected_reward(&pi);
         assert!(a > 0.999 && a < 1.0, "availability {a}");
     }
 

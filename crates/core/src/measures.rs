@@ -86,10 +86,9 @@ pub struct ReliabilityMeasures {
 
 /// Computes steady-state measures for a generated block model.
 ///
-/// The solve goes through the fallback ladder
-/// ([`crate::solve::steady_state_ladder`]) with default budgets, so a
-/// retryable failure of the requested method is transparently retried
-/// on the stronger rungs before an error is reported.
+/// The solve is one call of the requested method with default budgets
+/// ([`rascad_markov::Ctmc::steady_state_with`]); a failure is reported
+/// as that method's typed error.
 ///
 /// # Errors
 ///
@@ -98,16 +97,7 @@ pub fn steady_state_measures(
     model: &BlockModel,
     method: SteadyStateMethod,
 ) -> Result<BlockMeasures, CoreError> {
-    steady_state_measures_forced(model, method, None)
-}
-
-pub(crate) fn steady_state_measures_forced(
-    model: &BlockModel,
-    method: SteadyStateMethod,
-    forced: Option<crate::solve::ForcedFailure>,
-) -> Result<BlockMeasures, CoreError> {
-    steady_state_measures_certified(model, method, &rascad_markov::SolveOptions::default(), forced)
-        .map(|(measures, _)| measures)
+    steady_state_measures_with_certificate(model, method).map(|(measures, _)| measures)
 }
 
 /// [`steady_state_measures`] plus the [`SolutionCertificate`] the
@@ -154,16 +144,16 @@ pub(crate) fn steady_state_measures_certified(
     options: &rascad_markov::SolveOptions,
     forced: Option<crate::solve::ForcedFailure>,
 ) -> Result<(BlockMeasures, SolutionCertificate), CoreError> {
-    let outcome = crate::solve::steady_state_ladder_outcome(&model.chain, method, options, forced)
+    let mut pi = crate::solve::steady_state_forced(&model.chain, method, options, forced)
         .map_err(|source| CoreError::Markov { block: model.name.clone(), source })?;
-    let mut pi = outcome.pi;
     if forced == Some(crate::solve::ForcedFailure::NanPi) {
         // Injected numerical corruption *after* a successful solve: the
         // certificate — not any solver-internal check — must catch it.
         pi.fill(f64::NAN);
     }
+    let name = crate::solve::method_name(method);
     let certificate =
-        crate::certify::certify_steady(&model.chain, &pi, outcome.method, outcome.trail);
+        crate::certify::certify_steady(&model.chain, &pi, name, vec![format!("{name}: ok")]);
     if certificate.verdict == crate::certify::Verdict::Fail {
         return Err(CoreError::Certification {
             block: model.name.clone(),

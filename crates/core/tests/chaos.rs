@@ -92,24 +92,20 @@ fn panic_is_isolated_typed_and_rolls_up_best_effort() {
 }
 
 #[test]
-fn not_converged_fault_exhausts_the_ladder_with_a_full_trail() {
+fn not_converged_fault_is_a_typed_singular_under_either_method() {
     let _l = lock();
     let s = spec();
     let _g = PlanGuard::install(FaultPlan::single("Sys/A", FaultKind::NotConverged));
-    let err = Engine::sequential().solve_spec_with(&s, SteadyStateMethod::Power).unwrap_err();
-    match &err {
-        CoreError::Markov { block, source: MarkovError::FallbackExhausted { attempts } } => {
-            assert_eq!(block, "A");
-            let methods: Vec<_> = attempts.iter().map(|a| a.method).collect();
-            assert_eq!(methods, ["power", "lu", "gth"]);
+    // The plan kind keeps its name (plan files are outside input); it
+    // fails the block's one steady solve with `Singular`, and nothing
+    // falls through to another method.
+    for method in [SteadyStateMethod::Gth, SteadyStateMethod::Lu] {
+        let err = Engine::sequential().solve_spec_with(&s, method).unwrap_err();
+        match &err {
+            CoreError::Markov { block, source: MarkovError::Singular } => assert_eq!(block, "A"),
+            other => panic!("{method:?}: expected Singular, got {other:?}"),
         }
-        other => panic!("expected FallbackExhausted, got {other:?}"),
     }
-
-    // With GTH (the last rung) requested, the same fault stays a plain
-    // typed Singular — no bogus one-rung "ladder exhausted" wrapper.
-    let err = Engine::sequential().solve_spec_with(&s, SteadyStateMethod::Gth).unwrap_err();
-    assert!(matches!(&err, CoreError::Markov { source: MarkovError::Singular, .. }), "{err:?}");
 }
 
 #[test]
@@ -118,14 +114,13 @@ fn timeout_fault_is_typed_and_spends_no_wall_clock() {
     let s = spec();
     let _g = PlanGuard::install(FaultPlan::single("Sys/Box/CPU", FaultKind::Timeout));
     let t0 = std::time::Instant::now();
-    let err = Engine::sequential().solve_spec_with(&s, SteadyStateMethod::Power).unwrap_err();
+    let err = Engine::sequential().solve_spec_with(&s, SteadyStateMethod::Lu).unwrap_err();
     assert!(t0.elapsed() < std::time::Duration::from_secs(10));
     match &err {
-        CoreError::Markov { block, source: MarkovError::FallbackExhausted { attempts } } => {
+        CoreError::Markov { block, source: MarkovError::Timeout { method: "lu", .. } } => {
             assert_eq!(block, "CPU");
-            assert!(attempts.iter().all(|a| matches!(*a.error, MarkovError::Timeout { .. })));
         }
-        other => panic!("expected FallbackExhausted of timeouts, got {other:?}"),
+        other => panic!("expected an LU Timeout, got {other:?}"),
     }
 }
 

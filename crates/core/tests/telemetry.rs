@@ -65,7 +65,7 @@ fn assert_bit_identical(a: &SystemSolution, b: &SystemSolution) {
 #[test]
 fn solve_results_are_bit_identical_with_telemetry_on_and_off() {
     let s = spec();
-    for method in [SteadyStateMethod::Gth, SteadyStateMethod::Power] {
+    for method in [SteadyStateMethod::Gth, SteadyStateMethod::Lu] {
         for threads in [1usize, 4] {
             let engine = Engine::with_threads(threads);
             let quiet = engine.solve_spec_with(&s, method).unwrap();

@@ -64,14 +64,15 @@ pub enum FaultKind {
     /// Panic inside the worker closure solving the block, exercising
     /// the engine's `catch_unwind` isolation boundary.
     Panic,
-    /// Force every rung of the solver fallback ladder to report
-    /// non-convergence (the power rung) or singularity (direct rungs).
+    /// Force the block's steady solve to fail with a typed
+    /// singularity. The name (`not-converged` in plan files) predates
+    /// the single-method solve and stays so existing plans parse.
     NotConverged,
     /// Corrupt one generated transition rate to NaN so chain
     /// construction fails with a typed `InvalidRate` error.
     NanRate,
-    /// Force every rung of the solver fallback ladder to report a
-    /// wall-clock budget timeout (no real time is spent).
+    /// Force the block's steady solve to report a wall-clock budget
+    /// timeout (no real time is spent).
     Timeout,
     /// Stall the worker for a real wall-clock delay before solving the
     /// block — the chaos probe for deadline/cancellation paths. The

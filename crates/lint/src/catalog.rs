@@ -210,15 +210,17 @@ pub const CATALOG: &[CatalogEntry] = &[
         severity: Severity::Warning,
         title: "state exit rates span ≥ 1e9 (stiff chain)",
         example: "mtbf = 1e9 h next to failover_time = 1 min",
-        remedy: "solve with the GTH direct method; power iteration converges \
-                 slowly and LU loses precision on stiff chains",
+        remedy: "no action needed for the default GTH solve, which is unaffected; \
+                 an explicit LU cross-check (`method: lu`) loses precision on stiff \
+                 chains, so compare against GTH rather than trusting LU alone",
     },
     CatalogEntry {
         code: tier_b::STIFFNESS_NOTE,
         severity: Severity::Info,
         title: "state exit rates span ≥ 1e6",
         example: "typical hardware MTBFs next to minute-scale repairs",
-        remedy: "no action needed; GTH is the numerically safest solver choice",
+        remedy: "no action needed; the default GTH solve is unaffected, and an \
+                 explicit LU cross-check may lose some precision",
     },
     CatalogEntry {
         code: crate::codes::TIERS_SKIPPED,

@@ -4,9 +4,9 @@
 //! solve*. Each stage can silently accept inputs that the next stage
 //! mishandles: a spec with `min_quantity > quantity` has no valid
 //! model, a chain with an absorbing state has a degenerate steady
-//! state, a stiff chain makes the power method crawl. This crate turns
-//! those failure modes into *diagnostics* with stable `RASxxx` codes,
-//! reported all at once instead of fail-fast.
+//! state, a stiff chain costs an LU cross-check its precision. This
+//! crate turns those failure modes into *diagnostics* with stable
+//! `RASxxx` codes, reported all at once instead of fail-fast.
 //!
 //! Analyses run in two tiers:
 //!

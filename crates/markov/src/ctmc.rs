@@ -8,15 +8,6 @@ use crate::matrix::SparseMatrix;
 /// Identifier of a state inside one [`Ctmc`] (a dense index).
 pub type StateId = usize;
 
-/// Total matrix-vector work the default power-iteration budget spreads
-/// over a chain: `budget ≈ POWER_WORK_BUDGET / states`, floored at
-/// [`MIN_POWER_ITERATIONS`] so large chains still get a usable budget
-/// instead of a spuriously tiny (or zero) one.
-pub const POWER_WORK_BUDGET: usize = 50_000_000;
-
-/// Floor of the default power-iteration budget.
-pub const MIN_POWER_ITERATIONS: usize = 1_000;
-
 /// Cooperative cancellation handle shared between a request owner and
 /// the solver hot loops.
 ///
@@ -24,15 +15,12 @@ pub const MIN_POWER_ITERATIONS: usize = 1_000;
 /// owner calls [`cancel`](CancelToken::cancel) (or lets the deadline
 /// pass); the solvers poll [`is_cancelled`](CancelToken::is_cancelled)
 /// at the same cadence as their wall-clock checks and abandon the
-/// attempt with the typed [`MarkovError::Cancelled`] — which, unlike
-/// `Timeout`, is *not* retryable, so a cancelled request exits the
-/// whole fallback ladder immediately instead of burning the remaining
-/// rungs.
+/// solve with the typed [`MarkovError::Cancelled`].
 ///
 /// Polling an atomic is cheap enough for the check cadences in use
-/// (every 1024 power iterations, every 32 GTH pivots, every 256
-/// transient series terms); `Instant::now()` is only taken when a
-/// deadline is set.
+/// (every 32 GTH pivots, every 256 transient series terms; dense LU
+/// checks once, before it starts); `Instant::now()` is only taken when
+/// a deadline is set.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: std::sync::Arc<std::sync::atomic::AtomicBool>,
@@ -83,24 +71,15 @@ impl PartialEq for CancelToken {
 
 /// Budgets for the steady-state solvers.
 ///
-/// Every solve attempt is bounded twice: by an iteration budget (the
-/// deterministic bound) and by a wall-clock budget (the robustness
-/// bound — a stiff chain must fail *typed*, with
-/// [`MarkovError::Timeout`], instead of hanging a worker). The
-/// wall-clock default is generous enough that well-posed RAScad models
-/// never hit it, keeping results independent of host speed. A third,
-/// externally-owned bound — [`CancelToken`] — lets a long-lived caller
-/// (the serve daemon) abort a solve mid-flight.
+/// A solve is bounded by a wall-clock budget (a solve that runs too
+/// long fails *typed*, with [`MarkovError::Timeout`], instead of
+/// hanging a worker). The default is generous enough that well-posed
+/// RAScad models never hit it, keeping results independent of host
+/// speed. A second, externally-owned bound — [`CancelToken`] — lets a
+/// long-lived caller (the serve daemon) abort a solve mid-flight.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveOptions {
-    /// Power-iteration budget, the only rung with an iteration count;
-    /// `None` scales [`POWER_WORK_BUDGET`] by the chain size (see
-    /// [`SolveOptions::power_iteration_budget`]). The direct rungs (LU,
-    /// GTH) ignore it.
-    pub max_iterations: Option<usize>,
-    /// Power-iteration convergence tolerance on the iterate delta.
-    pub tolerance: f64,
-    /// Per-attempt wall-clock budget; `None` disables the clock.
+    /// Wall-clock budget of the solve; `None` disables the clock.
     pub wall_clock: Option<std::time::Duration>,
     /// Cooperative cancellation token; `None` means uncancellable.
     /// Checked at the same cadence as the wall clock in every solver
@@ -110,27 +89,11 @@ pub struct SolveOptions {
 
 impl Default for SolveOptions {
     fn default() -> Self {
-        SolveOptions {
-            max_iterations: None,
-            tolerance: 1e-14,
-            wall_clock: Some(std::time::Duration::from_secs(30)),
-            cancel: None,
-        }
+        SolveOptions { wall_clock: Some(std::time::Duration::from_secs(30)), cancel: None }
     }
 }
 
 impl SolveOptions {
-    /// The power-iteration budget for an `n`-state chain: the explicit
-    /// [`max_iterations`](Self::max_iterations) when set, else the
-    /// work-scaled default floored at [`MIN_POWER_ITERATIONS`].
-    #[must_use]
-    pub fn power_iteration_budget(&self, n: usize) -> usize {
-        if let Some(explicit) = self.max_iterations {
-            return explicit;
-        }
-        (POWER_WORK_BUDGET / n.max(1)).max(MIN_POWER_ITERATIONS)
-    }
-
     /// Whether `elapsed` has exhausted the wall-clock budget. Inclusive
     /// so a zero budget trips deterministically (used by the chaos
     /// tests to force timeouts without real waiting).
@@ -168,11 +131,12 @@ impl SolveOptions {
 
 /// Which steady-state algorithm to use.
 ///
-/// Three independent algorithms are provided so higher layers can
+/// Two independent algorithms are provided so higher layers can
 /// cross-validate results — mirroring the paper's validation of RAScad
 /// against SHARPE and MEADEP. GTH runs in the generator's band, so it
 /// is linear on the birth–death chains of k-out-of-n pools and scales
-/// to every chain the generator emits.
+/// to every chain the generator emits; dense LU is the cross-check and
+/// refuses chains whose `n²` matrix exceeds the storage bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SteadyStateMethod {
     /// Grassmann–Taksar–Heyman elimination. Subtraction-free, hence
@@ -183,11 +147,6 @@ pub enum SteadyStateMethod {
     /// Dense LU factorization of the balance equations `pi * Q = 0`,
     /// `sum(pi) = 1` (one balance equation replaced by normalization).
     Lu,
-    /// Power iteration on the uniformized DTMC `P = I + Q/Λ` until the
-    /// iterates stop moving. Iterative rather than direct — the third
-    /// independent numerical path used by the validation experiments.
-    /// Slow for stiff chains; accuracy ~1e-12 in the iterate delta.
-    Power,
 }
 
 /// One state of a chain: a label plus a reward rate.
@@ -458,17 +417,19 @@ impl Ctmc {
         self.steady_state_with(method, &SolveOptions::default())
     }
 
-    /// [`steady_state`](Self::steady_state) with explicit iteration and
-    /// wall-clock budgets.
+    /// [`steady_state`](Self::steady_state) with an explicit wall-clock
+    /// budget and cancellation token.
     ///
     /// # Errors
     ///
     /// In addition to the `steady_state` errors:
     ///
-    /// * [`MarkovError::NotConverged`] if the power rung exhausts its
-    ///   iteration budget.
-    /// * [`MarkovError::Timeout`] if the attempt exceeds
+    /// * [`MarkovError::Timeout`] if the solve exceeds
     ///   [`SolveOptions::wall_clock`].
+    /// * [`MarkovError::Cancelled`] if the [`SolveOptions::cancel`]
+    ///   token trips.
+    /// * [`MarkovError::ExceedsStorage`] if LU's dense matrix would
+    ///   exceed [`crate::MAX_ELIMINATION_ENTRIES`] (or GTH's band would).
     pub fn steady_state_with(
         &self,
         method: SteadyStateMethod,
@@ -481,87 +442,7 @@ impl Ctmc {
         match method {
             SteadyStateMethod::Gth => gth::stationary_gth_with(self, options),
             SteadyStateMethod::Lu => self.steady_state_lu(options),
-            SteadyStateMethod::Power => self.steady_state_power(options),
         }
-    }
-
-    fn steady_state_power(&self, options: &SolveOptions) -> Result<Vec<f64>, MarkovError> {
-        let tolerance = options.tolerance;
-        let mut span = rascad_obs::span("markov.power");
-        span.record("states", self.len());
-        let uni = crate::transient::uniformize(self);
-        let n = self.len();
-        let mut pi = vec![1.0 / n as f64; n];
-        // Ping-pong buffer for the SpMV so the hot loop allocates
-        // nothing per iteration.
-        let mut next = vec![0.0; n];
-        // Uniformization keeps diagonals positive, so the DTMC is
-        // aperiodic and plain power iteration converges; the iteration
-        // budget guards against extreme stiffness and is floored so
-        // large chains never get a degenerate budget.
-        let max_iter = options.power_iteration_budget(n);
-        // Checking the clock every iteration would dominate small
-        // chains, so it is sampled; the mask keeps the check cadence a
-        // cheap bitwise test.
-        const CLOCK_MASK: usize = 1024 - 1;
-        let start = std::time::Instant::now();
-        let mut trace = rascad_obs::trace::begin("power", "residual", n);
-        let mut residual = f64::INFINITY;
-        for iter in 1..=max_iter {
-            if iter & CLOCK_MASK == 0 {
-                if options.cancelled() {
-                    span.record("iterations", iter);
-                    trace.finish("cancelled");
-                    return Err(options.cancelled_error("power", iter));
-                }
-                let elapsed = start.elapsed();
-                if options.over_budget(elapsed) {
-                    span.record("iterations", iter);
-                    trace.finish("timeout");
-                    return Err(options.timeout_error("power", iter, elapsed));
-                }
-            }
-            uni.dtmc.vec_mul_into(&pi, &mut next);
-            residual = next.iter().zip(&pi).map(|(a, b)| (a - b).abs()).sum();
-            std::mem::swap(&mut pi, &mut next);
-            trace.step(iter, residual);
-            if residual < tolerance {
-                let z: f64 = pi.iter().sum();
-                for p in &mut pi {
-                    *p /= z;
-                }
-                span.record("iterations", iter);
-                span.record("residual", residual);
-                rascad_obs::record_value_with(
-                    "markov.iterations",
-                    &[("method", "power")],
-                    iter as f64,
-                );
-                rascad_obs::record_value_with("markov.residual", &[("method", "power")], residual);
-                rascad_obs::counter_with("markov.solves", &[("method", "power")], 1);
-                trace.finish("converged");
-                return Ok(pi);
-            }
-        }
-        span.record("iterations", max_iter);
-        span.record("residual", residual);
-        // A non-converged rung still reports its full telemetry — the
-        // fallback ladder's decision to abandon this method should be
-        // as observable as a success.
-        rascad_obs::record_value_with("markov.iterations", &[("method", "power")], max_iter as f64);
-        rascad_obs::record_value_with("markov.residual", &[("method", "power")], residual);
-        rascad_obs::flight_event(
-            "markov.power.not_converged",
-            residual,
-            &format!("{max_iter} iterations, residual {residual:.3e} vs tolerance {tolerance:.1e}"),
-        );
-        trace.finish("not-converged");
-        Err(MarkovError::NotConverged {
-            method: "power",
-            iterations: max_iter,
-            residual,
-            tolerance,
-        })
     }
 
     fn steady_state_lu(&self, options: &SolveOptions) -> Result<Vec<f64>, MarkovError> {
@@ -816,84 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn power_iteration_agrees_with_direct_methods() {
-        let c = two_state(2e-3, 0.4);
-        let gth = c.steady_state(SteadyStateMethod::Gth).unwrap();
-        let pow = c.steady_state(SteadyStateMethod::Power).unwrap();
-        for (a, b) in gth.iter().zip(&pow) {
-            assert!((a - b).abs() < 1e-10, "{a} vs {b}");
-        }
-
-        // A bigger random-ish chain.
-        let mut b = CtmcBuilder::new();
-        for i in 0..6 {
-            b.add_state(format!("s{i}"), (i % 2) as f64);
-        }
-        for i in 0..6usize {
-            b.add_transition(i, (i + 1) % 6, 0.2 + i as f64 * 0.15);
-            b.add_transition(i, (i + 3) % 6, 0.05 + i as f64 * 0.02);
-        }
-        let c = b.build().unwrap();
-        let gth = c.steady_state(SteadyStateMethod::Gth).unwrap();
-        let pow = c.steady_state(SteadyStateMethod::Power).unwrap();
-        for (a, b) in gth.iter().zip(&pow) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn power_iteration_records_convergence_telemetry() {
-        use rascad_obs::{Event, Sink};
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone, Default)]
-        struct Capture(Arc<Mutex<Vec<Event>>>);
-        impl Sink for Capture {
-            fn event(&mut self, event: &Event) {
-                self.0.lock().unwrap().push(event.clone());
-            }
-        }
-
-        // This is the only test in the crate that installs the global
-        // obs subscriber, so no serialization lock is needed; concurrent
-        // tests may add unrelated metrics, which the asserts tolerate.
-        let cap = Capture::default();
-        rascad_obs::install(vec![Box::new(cap.clone())]);
-        let pi = two_state(2e-3, 0.4).steady_state(SteadyStateMethod::Power).unwrap();
-        rascad_obs::drain();
-        rascad_obs::uninstall();
-        assert_eq!(pi.len(), 2);
-
-        let events = cap.0.lock().unwrap().clone();
-        let (counters, values) = events
-            .iter()
-            .find_map(|e| match e {
-                Event::Metrics { counters, values, .. } => Some((counters.clone(), values.clone())),
-                _ => None,
-            })
-            .expect("drain emits metrics");
-        assert!(counters.iter().any(|(n, v)| *n == "markov.solves{method=\"power\"}" && *v >= 1));
-        let iters = values.iter().find(|(n, _)| *n == "markov.iterations{method=\"power\"}");
-        assert!(iters.is_some_and(|(_, s)| s.count >= 1 && s.min >= 1.0), "{values:?}");
-        let resid = values.iter().find(|(n, _)| *n == "markov.residual{method=\"power\"}");
-        assert!(resid.is_some_and(|(_, s)| s.max < 1e-13), "{values:?}");
-    }
-
-    #[test]
-    fn power_budget_scales_with_the_chain() {
-        let opts = SolveOptions::default();
-        assert_eq!(opts.power_iteration_budget(2), POWER_WORK_BUDGET / 2);
-        assert_eq!(opts.power_iteration_budget(10_000), 5_000);
-        // Large chains get the floor instead of a degenerate budget.
-        assert_eq!(opts.power_iteration_budget(1_000_000), MIN_POWER_ITERATIONS);
-        // Degenerate n=0 guards against division by zero.
-        assert_eq!(opts.power_iteration_budget(0), POWER_WORK_BUDGET);
-        // An explicit budget wins outright.
-        let explicit = SolveOptions { max_iterations: Some(7), ..SolveOptions::default() };
-        assert_eq!(explicit.power_iteration_budget(100_000_000), 7);
-    }
-
-    #[test]
     fn lu_over_the_storage_bound_fails_typed_before_allocating() {
         // 3,000 states: a dense 3,000² matrix exceeds the bound, while
         // the two-wide band GTH needs only 3 × 3,000 entries.
@@ -914,33 +717,11 @@ mod tests {
     }
 
     #[test]
-    fn power_respects_explicit_iteration_budget() {
-        let opts = SolveOptions {
-            max_iterations: Some(3),
-            tolerance: 0.0, // unreachable: force budget exhaustion
-            wall_clock: None,
-            ..SolveOptions::default()
-        };
-        let err = two_state(0.1, 0.9).steady_state_with(SteadyStateMethod::Power, &opts);
-        match err {
-            Err(MarkovError::NotConverged { method, iterations, .. }) => {
-                assert_eq!(method, "power");
-                assert_eq!(iterations, 3);
-            }
-            other => panic!("expected NotConverged, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn zero_wall_clock_budget_times_out_typed() {
-        let opts = SolveOptions {
-            max_iterations: Some(1_000_000),
-            tolerance: 0.0, // keep power iterating until the clock check
-            wall_clock: Some(std::time::Duration::ZERO),
-            ..SolveOptions::default()
-        };
+        let opts =
+            SolveOptions { wall_clock: Some(std::time::Duration::ZERO), ..SolveOptions::default() };
         let c = two_state(0.1, 0.9);
-        for method in [SteadyStateMethod::Power, SteadyStateMethod::Lu, SteadyStateMethod::Gth] {
+        for method in [SteadyStateMethod::Lu, SteadyStateMethod::Gth] {
             match c.steady_state_with(method, &opts) {
                 Err(MarkovError::Timeout { budget_ms: 0, .. }) => {}
                 other => panic!("expected Timeout for {method:?}, got {other:?}"),
@@ -952,14 +733,9 @@ mod tests {
     fn pre_cancelled_token_aborts_every_method_typed() {
         let token = CancelToken::new();
         token.cancel();
-        let opts = SolveOptions {
-            max_iterations: Some(1_000_000),
-            tolerance: 0.0, // keep iterating until the cancel check
-            wall_clock: None,
-            cancel: Some(token),
-        };
+        let opts = SolveOptions { wall_clock: None, cancel: Some(token) };
         let c = two_state(0.1, 0.9);
-        for method in [SteadyStateMethod::Power, SteadyStateMethod::Lu, SteadyStateMethod::Gth] {
+        for method in [SteadyStateMethod::Lu, SteadyStateMethod::Gth] {
             match c.steady_state_with(method, &opts) {
                 Err(MarkovError::Cancelled { .. }) => {}
                 other => panic!("expected Cancelled for {method:?}, got {other:?}"),
@@ -973,14 +749,9 @@ mod tests {
         let token = CancelToken::with_deadline(past);
         assert!(token.is_cancelled());
         assert_eq!(token.deadline(), Some(past));
-        let opts = SolveOptions {
-            max_iterations: Some(1_000_000),
-            tolerance: 0.0,
-            wall_clock: None,
-            cancel: Some(token),
-        };
-        match two_state(0.1, 0.9).steady_state_with(SteadyStateMethod::Power, &opts) {
-            Err(MarkovError::Cancelled { method: "power", .. }) => {}
+        let opts = SolveOptions { wall_clock: None, cancel: Some(token) };
+        match two_state(0.1, 0.9).steady_state_with(SteadyStateMethod::Gth, &opts) {
+            Err(MarkovError::Cancelled { method: "gth", .. }) => {}
             other => panic!("expected Cancelled, got {other:?}"),
         }
     }
@@ -1001,7 +772,7 @@ mod tests {
     #[test]
     fn steady_state_with_defaults_matches_steady_state() {
         let c = two_state(2e-3, 0.4);
-        for method in [SteadyStateMethod::Gth, SteadyStateMethod::Lu, SteadyStateMethod::Power] {
+        for method in [SteadyStateMethod::Gth, SteadyStateMethod::Lu] {
             assert_eq!(
                 c.steady_state(method).unwrap(),
                 c.steady_state_with(method, &SolveOptions::default()).unwrap(),

@@ -74,23 +74,11 @@ pub enum MarkovError {
         /// Human-readable description of what is missing.
         what: String,
     },
-    /// The power rung exhausted its iteration budget before
-    /// reaching the convergence tolerance.
-    NotConverged {
-        /// Solver name, e.g. `"power"`.
-        method: &'static str,
-        /// Iterations performed before giving up.
-        iterations: usize,
-        /// Residual achieved at the last iterate.
-        residual: f64,
-        /// Convergence tolerance that was requested.
-        tolerance: f64,
-    },
     /// A solver exceeded its wall-clock budget before finishing.
     Timeout {
-        /// Solver name, e.g. `"power"` or `"gth"`.
+        /// Solver name, e.g. `"lu"` or `"gth"`.
         method: &'static str,
-        /// Iterations (or elimination steps) completed before the
+        /// Elimination steps (or series terms) completed before the
         /// budget expired.
         iterations: usize,
         /// Wall-clock time spent, milliseconds.
@@ -99,34 +87,25 @@ pub enum MarkovError {
         budget_ms: u64,
     },
     /// The caller cancelled the solve mid-flight (explicitly or via a
-    /// request deadline on its [`crate::ctmc::CancelToken`]). Unlike
-    /// [`Timeout`](MarkovError::Timeout), this is not retryable: the
-    /// fallback ladder aborts instead of trying the next rung.
+    /// request deadline on its [`crate::ctmc::CancelToken`]).
     Cancelled {
-        /// Solver name, e.g. `"gth"` or `"power"`.
+        /// Solver name, e.g. `"gth"` or `"lu"`.
         method: &'static str,
-        /// Iterations (or elimination steps) completed before the
+        /// Elimination steps (or series terms) completed before the
         /// cancellation was observed.
         iterations: usize,
     },
     /// An elimination would allocate more than
     /// [`MAX_ELIMINATION_ENTRIES`] `f64` entries, so it was refused
-    /// before allocating. Retryable: the fallback ladder moves on to a
-    /// rung whose storage fits (band GTH on a narrow-band chain). The
-    /// absorbing solves (`"mttf"`, `"absorption"`) have no other rung,
-    /// so for them it is final: the up states' band is too wide.
+    /// before allocating. For dense LU (`n²` entries) this is any chain
+    /// past 2,896 states, which band GTH still solves; for GTH and the
+    /// absorbing solves (`"mttf"`, `"absorption"`) it means the
+    /// chain's band is too wide.
     ExceedsStorage {
         /// Solver name, e.g. `"lu"`, `"gth"` or `"mttf"`.
         method: &'static str,
         /// Entries the elimination would have allocated.
         entries: usize,
-    },
-    /// Every rung of the solver fallback ladder failed; carries the
-    /// full attempt trail so diagnostics can show why *each* rung
-    /// failed, not just the last (see `rascad-core`'s ladder).
-    FallbackExhausted {
-        /// One record per attempted rung, in attempt order.
-        attempts: Vec<SolveAttempt>,
     },
     /// A partition offered for exact lumping violates the lumpability
     /// condition (members of a class disagree on rewards or on their
@@ -146,33 +125,6 @@ pub enum MarkovError {
         /// Human-readable description of the mismatched shapes.
         what: String,
     },
-}
-
-/// One failed rung of the solver fallback ladder.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SolveAttempt {
-    /// Rung name: `"power"`, `"lu"`, or `"gth"`.
-    pub method: &'static str,
-    /// Iterations performed, when the rung iterates (or timed out
-    /// mid-iteration); `None` for direct methods.
-    pub iterations: Option<usize>,
-    /// Residual at the point of failure, when the rung reports one.
-    pub residual: Option<f64>,
-    /// The rung's underlying error.
-    pub error: Box<MarkovError>,
-}
-
-impl fmt::Display for SolveAttempt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.method)?;
-        if let Some(i) = self.iterations {
-            write!(f, " after {i} iterations")?;
-        }
-        if let Some(r) = self.residual {
-            write!(f, " (residual {r:.3e})")?;
-        }
-        write!(f, ": {}", self.error)
-    }
 }
 
 impl fmt::Display for MarkovError {
@@ -199,11 +151,6 @@ impl fmt::Display for MarkovError {
                 write!(f, "invalid probability: {what}")
             }
             MarkovError::MissingStates { what } => write!(f, "missing states: {what}"),
-            MarkovError::NotConverged { method, iterations, residual, tolerance } => write!(
-                f,
-                "{method} iteration did not converge: residual {residual:.3e} after \
-                 {iterations} iterations (tolerance {tolerance:.1e}; chain too stiff — use GTH)"
-            ),
             MarkovError::Timeout { method, iterations, elapsed_ms, budget_ms } => write!(
                 f,
                 "{method} solve exceeded its wall-clock budget: {elapsed_ms} ms spent \
@@ -217,13 +164,6 @@ impl fmt::Display for MarkovError {
                 "{method} elimination needs {entries} entries, over the storage bound of \
                  {MAX_ELIMINATION_ENTRIES}"
             ),
-            MarkovError::FallbackExhausted { attempts } => {
-                write!(f, "solver fallback ladder exhausted after {} rung(s)", attempts.len())?;
-                for a in attempts {
-                    write!(f, "; {a}")?;
-                }
-                Ok(())
-            }
             MarkovError::NotLumpable { what } => {
                 write!(f, "partition is not exactly lumpable: {what}")
             }
@@ -235,18 +175,7 @@ impl fmt::Display for MarkovError {
     }
 }
 
-impl std::error::Error for MarkovError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            // The cause chain descends into the final rung's failure;
-            // the Display above lists every earlier rung inline.
-            MarkovError::FallbackExhausted { attempts } => {
-                attempts.last().map(|a| a.error.as_ref() as _)
-            }
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for MarkovError {}
 
 #[cfg(test)]
 mod tests {
@@ -264,79 +193,18 @@ mod tests {
             MarkovError::Singular,
             MarkovError::InvalidProbability { what: "sum".into() },
             MarkovError::MissingStates { what: "absorbing".into() },
-            MarkovError::NotConverged {
-                method: "power",
-                iterations: 100,
-                residual: 1e-9,
-                tolerance: 1e-14,
-            },
             MarkovError::NotLumpable { what: "rewards differ".into() },
             MarkovError::InvalidOption { what: "epsilon".into() },
             MarkovError::DimensionMismatch { what: "3x2 generator".into() },
-            MarkovError::Timeout { method: "power", iterations: 10, elapsed_ms: 31, budget_ms: 30 },
+            MarkovError::Timeout { method: "gth", iterations: 10, elapsed_ms: 31, budget_ms: 30 },
             MarkovError::Cancelled { method: "gth", iterations: 17 },
             MarkovError::ExceedsStorage { method: "lu", entries: 1 << 40 },
-            MarkovError::FallbackExhausted {
-                attempts: vec![SolveAttempt {
-                    method: "gth",
-                    iterations: None,
-                    residual: None,
-                    error: Box::new(MarkovError::Singular),
-                }],
-            },
         ];
         for c in cases {
             let s = c.to_string();
             assert!(!s.is_empty());
             assert!(s.chars().next().unwrap().is_lowercase());
         }
-    }
-
-    #[test]
-    fn not_converged_reports_residual_and_iterations() {
-        let e = MarkovError::NotConverged {
-            method: "power",
-            iterations: 12345,
-            residual: 2.5e-9,
-            tolerance: 1e-14,
-        };
-        let s = e.to_string();
-        assert!(s.contains("12345"), "{s}");
-        assert!(s.contains("2.500e-9"), "{s}");
-        assert!(s.contains("1.0e-14"), "{s}");
-    }
-
-    #[test]
-    fn fallback_exhausted_lists_every_rung_and_chains_the_last() {
-        use std::error::Error as _;
-        let e = MarkovError::FallbackExhausted {
-            attempts: vec![
-                SolveAttempt {
-                    method: "power",
-                    iterations: Some(1_000),
-                    residual: Some(3.2e-7),
-                    error: Box::new(MarkovError::NotConverged {
-                        method: "power",
-                        iterations: 1_000,
-                        residual: 3.2e-7,
-                        tolerance: 1e-14,
-                    }),
-                },
-                SolveAttempt {
-                    method: "lu",
-                    iterations: None,
-                    residual: None,
-                    error: Box::new(MarkovError::Singular),
-                },
-            ],
-        };
-        let s = e.to_string();
-        assert!(s.contains("2 rung(s)"), "{s}");
-        assert!(s.contains("power after 1000 iterations"), "{s}");
-        assert!(s.contains("3.200e-7"), "{s}");
-        assert!(s.contains("lu: linear system is singular"), "{s}");
-        // Cause chain descends into the final rung's error.
-        assert_eq!(e.source().unwrap().to_string(), MarkovError::Singular.to_string());
     }
 
     #[test]

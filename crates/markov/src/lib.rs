@@ -32,9 +32,6 @@
 //! * Semi-Markov processes: [`semi`] solves steady-state measures of a
 //!   semi-Markov chain through its embedded DTMC and mean sojourn times,
 //!   which is how the paper's GMB module supports semi-Markov models.
-//! * Sensitivity analysis: [`sensitivity`] differentiates the stationary
-//!   distribution with respect to a transition rate, supporting the
-//!   tool's parametric analysis capability.
 //!
 //! # Example
 //!
@@ -73,13 +70,12 @@ pub mod gth;
 pub mod lump;
 pub mod matrix;
 pub mod semi;
-pub mod sensitivity;
 pub mod transient;
 
 pub use absorbing::{AbsorbingAnalysis, ReliabilityCurve};
 pub use ctmc::{CancelToken, Ctmc, CtmcBuilder, SolveOptions, StateId, SteadyStateMethod};
 pub use dtmc::{Dtmc, DtmcBuilder};
-pub use error::{MarkovError, SolveAttempt, MAX_ELIMINATION_ENTRIES};
+pub use error::{MarkovError, MAX_ELIMINATION_ENTRIES};
 pub use fingerprint::{Fingerprint, StableHasher};
 pub use lump::{
     coarsest_exact_partition, identical_units_product, lump, occupancy_partition, Partition,

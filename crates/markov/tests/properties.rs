@@ -10,7 +10,7 @@ use rascad_markov::transient::{self, TransientOptions};
 use rascad_markov::{Ctmc, CtmcBuilder, SteadyStateMethod};
 
 const CASES: u64 = 256;
-/// Case count of the last four properties.
+/// Case count of the last three properties.
 const FEW_CASES: u64 = 64;
 
 /// Uniform draw from `[lo, hi)`.
@@ -137,19 +137,6 @@ fn uniformized_rows_sum_to_one() {
         let uni = transient::uniformize(&chain);
         for s in uni.dtmc.row_sums() {
             assert!((s - 1.0).abs() < 1e-12, "seed {seed}: row sum {s}");
-        }
-    }
-}
-
-/// Power iteration agrees with GTH on every random chain.
-#[test]
-fn power_iteration_agrees_with_gth() {
-    for seed in 0..FEW_CASES {
-        let chain = arb_chain(&mut StdRng::seed_from_u64(seed));
-        let gth = chain.steady_state(SteadyStateMethod::Gth).unwrap();
-        let pow = chain.steady_state(SteadyStateMethod::Power).unwrap();
-        for (a, b) in gth.iter().zip(&pow) {
-            assert!((a - b).abs() < 1e-8, "seed {seed}: {a} vs {b}");
         }
     }
 }

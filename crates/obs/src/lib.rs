@@ -470,18 +470,6 @@ pub fn incident(name: &'static str, detail: &str) {
     }
 }
 
-/// Appends a plain `event` entry to the flight recorder without
-/// marking an incident — for noteworthy-but-expected moments (a
-/// non-converged ladder rung about to fall back) that should show up
-/// in a post-mortem but not force one. No-op unless the recorder is
-/// armed.
-#[inline]
-pub fn flight_event(name: &'static str, num: f64, detail: &str) {
-    if flags() & F_FLIGHT != 0 {
-        flight::note("event", name, num, detail.to_string());
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // snapshots must carry values through exactly
 mod tests {
@@ -885,7 +873,7 @@ mod tests {
                 counter("retire.count", u64::from(t) + 1);
                 record_value("retire.value", f64::from(t));
                 for _ in 2..EVENTS_PER_THREAD {
-                    flight_event("retire.event", f64::from(t), "");
+                    flight::note("event", "retire.event", f64::from(t), String::new());
                 }
                 current_tid()
             })

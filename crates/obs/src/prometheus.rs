@@ -434,7 +434,6 @@ mod tests {
         validate(&text).unwrap();
         // Robustness counters appear as 0 even when nothing fired.
         assert!(text.contains("rascad_engine_worker_panics 0"), "{text}");
-        assert!(text.contains("rascad_solve_fallbacks 0"), "{text}");
         assert!(text.contains("rascad_solve_timeouts 0"), "{text}");
         // Histograms/gauges are not zero-filled (no meaningful zero).
         assert!(!text.contains("rascad_markov_lu_fill_bucket"), "{text}");

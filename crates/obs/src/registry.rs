@@ -179,12 +179,6 @@ pub const CATALOG: &[MetricDesc] = &[
         help: "Chain size per GTH solve",
     },
     MetricDesc {
-        name: "markov.iterations",
-        kind: MetricKind::Histogram,
-        labels: &["method"],
-        help: "Iterations spent per solve by method (converged or not)",
-    },
-    MetricDesc {
         name: "markov.lu.condest",
         kind: MetricKind::Histogram,
         labels: &[],
@@ -197,16 +191,10 @@ pub const CATALOG: &[MetricDesc] = &[
         help: "Fill-in produced per LU factorization",
     },
     MetricDesc {
-        name: "markov.residual",
-        kind: MetricKind::Histogram,
-        labels: &["method"],
-        help: "Final residual per solve by method (converged or not)",
-    },
-    MetricDesc {
         name: "markov.solves",
         kind: MetricKind::Counter,
         labels: &["method"],
-        help: "Steady-state solves by ladder rung (power, lu, gth)",
+        help: "Steady-state solves by method (lu, gth)",
     },
     MetricDesc {
         name: "markov.transient.grid_solves",
@@ -299,16 +287,10 @@ pub const CATALOG: &[MetricDesc] = &[
         help: "Solution certificates issued by verdict (ok, warn, fail)",
     },
     MetricDesc {
-        name: "solve.fallbacks",
-        kind: MetricKind::Counter,
-        labels: &["from", "to"],
-        help: "Steady-state ladder fallbacks by edge (from -> to)",
-    },
-    MetricDesc {
         name: "solve.timeouts",
         kind: MetricKind::Counter,
         labels: &[],
-        help: "Ladder rungs abandoned on the iteration budget",
+        help: "Steady-state solves that ran out of wall-clock budget",
     },
 ];
 
@@ -594,10 +576,10 @@ mod tests {
         assert_eq!(id.render(), "cache.hits{kind=\"steady\"}");
         // Labels sort by key regardless of call-site order, so the
         // same logical series always coalesces.
-        let a = SeriesId::with_labels("solve.fallbacks", &[("to", "lu"), ("from", "power")]);
-        let b = SeriesId::with_labels("solve.fallbacks", &[("from", "power"), ("to", "lu")]);
+        let a = SeriesId::with_labels("serve.requests", &[("status", "200"), ("route", "solve")]);
+        let b = SeriesId::with_labels("serve.requests", &[("route", "solve"), ("status", "200")]);
         assert_eq!(a, b);
-        assert_eq!(a.render(), "solve.fallbacks{from=\"power\",to=\"lu\"}");
+        assert_eq!(a.render(), "serve.requests{route=\"solve\",status=\"200\"}");
     }
 
     #[test]
@@ -616,6 +598,43 @@ mod tests {
         }
         assert!(describe("markov.solves").is_some());
         assert!(describe("no.such.metric").is_none());
+    }
+
+    /// Every catalogued metric still has an emitter: its name appears
+    /// as a string literal in some source file under `crates/*/src`
+    /// other than this catalog, so deleting a metric's last emitter
+    /// fails here until its entry goes too.
+    #[test]
+    fn every_catalogued_metric_appears_outside_the_catalog() {
+        use std::path::{Path, PathBuf};
+        fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    rust_files(&path, out);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    out.push(path);
+                }
+            }
+        }
+        let crates = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
+        let catalog = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/registry.rs");
+        let mut files = Vec::new();
+        for krate in std::fs::read_dir(crates).unwrap() {
+            let src = krate.unwrap().path().join("src");
+            if src.is_dir() {
+                rust_files(&src, &mut files);
+            }
+        }
+        let text: String = files
+            .iter()
+            .filter(|f| **f != catalog)
+            .map(|f| std::fs::read_to_string(f).unwrap())
+            .collect();
+        for d in CATALOG {
+            let literal = format!("\"{}\"", d.name);
+            assert!(text.contains(&literal), "{} is catalogued but never emitted", d.name);
+        }
     }
 
     #[test]

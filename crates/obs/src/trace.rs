@@ -29,10 +29,9 @@ use crate::lock;
 /// changes so stale files are rejected instead of misread.
 pub const SCHEMA: &str = "rascad-convergence/v1";
 
-/// Steps kept per solve. A power solve on a stiff chain can run
-/// millions of iterations; the trace keeps the most recent window (the
-/// part that shows whether the residual was still shrinking) and
-/// counts the rest as dropped.
+/// Steps kept per solve. A GTH solve on a 10^5-state chain takes as
+/// many pivots; the trace keeps the most recent window and counts the
+/// rest as dropped.
 pub const STEP_CAPACITY: usize = 512;
 
 /// Completed solve traces kept in the global ring. A full bench run
@@ -59,7 +58,7 @@ pub struct TraceStep {
 /// the outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveTrace {
-    /// Solver path: `power`, `gth`, `lu`, `transient`.
+    /// Solver path: `gth`, `lu`, `transient`.
     pub method: &'static str,
     /// What [`TraceStep::value`] measures for this solve: `residual`,
     /// `pivot`, `truncation`, …

@@ -125,8 +125,8 @@ fn resolve_spec(body: &Value, tenant: &str, store: &SpecStore) -> Result<SystemS
 
 /// Builds the per-request [`SolveOptions`]: a `deadline_ms` field turns
 /// into both a wall-clock budget and a cancellation token pinned to the
-/// absolute deadline, so a stuck rung and a long ladder alike abort
-/// within the client's patience.
+/// absolute deadline, so a long solve aborts within the client's
+/// patience.
 fn solve_options(body: &Value) -> Result<SolveOptions, ApiResponse> {
     let mut options = SolveOptions::default();
     if let Some(v) = body.get("deadline_ms") {
@@ -144,12 +144,11 @@ fn solve_options(body: &Value) -> Result<SolveOptions, ApiResponse> {
 fn method_of(body: &Value) -> Result<SteadyStateMethod, ApiResponse> {
     match body.get("method").and_then(Value::as_str) {
         None | Some("gth") => Ok(SteadyStateMethod::Gth),
-        Some("power") => Ok(SteadyStateMethod::Power),
         Some("lu") => Ok(SteadyStateMethod::Lu),
         Some(other) => Err(ApiResponse::error(
             400,
             "bad-request",
-            format!("unknown method `{other}` (gth, power, lu)"),
+            format!("unknown method `{other}` (gth, lu)"),
         )),
     }
 }
@@ -175,18 +174,11 @@ pub fn error_response(e: &CoreError) -> ApiResponse {
 }
 
 /// Whether the error is a tripped per-request budget (wall clock or
-/// cancellation token) rather than a numerical failure. A ladder that
-/// exhausted with every rung timed out or cancelled counts too.
+/// cancellation token) rather than a numerical failure.
 fn deadline_kind(e: &MarkovError) -> Option<&'static str> {
     match e {
         MarkovError::Timeout { .. } => Some("timed out"),
         MarkovError::Cancelled { .. } => Some("cancelled"),
-        MarkovError::FallbackExhausted { attempts } => attempts
-            .iter()
-            .all(|a| {
-                matches!(*a.error, MarkovError::Timeout { .. } | MarkovError::Cancelled { .. })
-            })
-            .then_some("timed out"),
         _ => None,
     }
 }

@@ -195,14 +195,50 @@ fn mission_step_honours_the_request_deadline() {
     assert_deadline_504(srv.addr, &pool, r#""deadline_ms":50"#);
 }
 
+/// Posts an inline solve of `spec` with `"method": method`.
+fn solve_with_method(addr: std::net::SocketAddr, spec: &str, method: &str) -> (u16, json::Value) {
+    let body = format!(r#"{{"spec":"{}","method":"{method}"}}"#, escape(spec));
+    let (status, _, body) = request(addr, "POST", "/v1/solve", &body);
+    (status, json::parse(&body).unwrap())
+}
+
+fn error_field<'a>(v: &'a json::Value, field: &str) -> &'a str {
+    v.get("error").unwrap().get(field).unwrap().as_str().unwrap()
+}
+
 #[test]
-fn lu_on_a_large_pool_falls_through_to_gth_instead_of_allocating() {
-    // Dense LU on a 10^5-unit pool would ask for 80 GB. It is refused
-    // before allocating, GTH solves the steady state, and the request
-    // ends in its mission step at the deadline, with the daemon intact.
+fn power_is_an_unknown_method() {
     let srv = default_server();
-    let big = spec_dsl().replace("quantity = 2", "quantity = 100000");
-    assert_deadline_504(srv.addr, &big, r#""method":"lu","deadline_ms":400"#);
+    let (status, v) = solve_with_method(srv.addr, &spec_dsl(), "power");
+    assert_eq!(status, 400, "{v:?}");
+    assert_eq!(error_field(&v, "kind"), "bad-request");
+    assert!(error_field(&v, "message").contains("(gth, lu)"), "{v:?}");
+}
+
+#[test]
+fn lu_answers_a_small_spec_with_an_lu_certificate() {
+    let srv = default_server();
+    let (status, v) = solve_with_method(srv.addr, &spec_dsl(), "lu");
+    assert_eq!(status, 200, "{v:?}");
+    for block in v.get("blocks").unwrap().as_array().unwrap() {
+        let cert = block.get("certificate").unwrap();
+        assert_eq!(cert.get("method").unwrap().as_str(), Some("lu"), "{v:?}");
+    }
+}
+
+#[test]
+fn lu_on_a_large_pool_fails_typed_instead_of_allocating() {
+    // Dense LU on a 10^4-unit pool would ask for 800 MB. It is refused
+    // before allocating, and the request fails typed: LU is a
+    // cross-check, so GTH does not answer in its place.
+    let srv = default_server();
+    let big = spec_dsl().replace("quantity = 2", "quantity = 10000");
+    let (status, v) = solve_with_method(srv.addr, &big, "lu");
+    assert_eq!(status, 500, "{v:?}");
+    assert_eq!(error_field(&v, "kind"), "solver");
+    let message = error_field(&v, "message");
+    assert!(message.contains("lu elimination needs 100020001 entries"), "{message}");
+    assert!(message.contains("storage bound"), "{message}");
     let (status, _, _) = request(srv.addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
 }

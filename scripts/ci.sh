@@ -200,7 +200,7 @@ fi
 # require a clean drain (exit 0). A 50 ms deadline on a 10^5-state
 # chain (steady state in milliseconds, mission step far longer) must
 # come back as a typed 504 without taking the service down.
-echo "==> serve smoke (store, solve, deadline 504, metrics, keep-alive, SIGTERM drain)"
+echo "==> serve smoke (store, solve, unknown method 400, deadline 504, metrics, keep-alive, SIGTERM drain)"
 cargo build --offline -q -p rascad-cli
 rm -f target/ci_serve_out.txt target/ci_serve_err.txt target/ci_serve_final.prom
 target/debug/rascad serve --addr 127.0.0.1:0 \
@@ -235,6 +235,12 @@ status, body = req("POST", "/v1/solve", json.dumps({"tenant": "ci", "spec_name":
 assert status == 200, (status, body)
 doc = json.loads(body)
 assert 0.0 < doc["system"]["availability"] <= 1.0, doc
+
+# Power iteration is gone: naming it is a typed 400, not a solve.
+status, body = req("POST", "/v1/solve",
+                   json.dumps({"tenant": "ci", "spec_name": "smoke", "method": "power"}))
+assert status == 400, (status, body)
+assert json.loads(body)["error"]["kind"] == "bad-request", body
 
 big = ('diagram "CiBig" { block "A" { quantity = 100000\n'
        ' min_quantity = 1\n mtbf = 10000 h } }')
