@@ -241,6 +241,19 @@ pub fn large_block() -> BlockParams {
         .with_redundancy(RedundancyParams::default())
 }
 
+/// Mission time of the mission-step pool workload, hours.
+pub const MISSION_POOL_HOURS: f64 = 8_760.0;
+
+/// An 800-unit, 720-needed pool at the default globals: its 801-state
+/// chain is too large for the doubling kernel, so its interval
+/// availability and reliability at [`MISSION_POOL_HOURS`] run the
+/// uniformization series, about 226,000 products.
+#[must_use]
+pub fn mission_pool() -> BlockParams {
+    use rascad_spec::units::Hours;
+    BlockParams::new("Mission Pool", 800, 720).with_mtbf(Hours(9_000.0))
+}
+
 /// Units in the brute-force lump-proof workload: small enough that the
 /// full `2^n` product space solves directly for cross-validation.
 pub const LUMP_PROOF_UNITS: u32 = 8;

@@ -16,6 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use rascad_bench::workloads::{self, BenchProfile};
+use rascad_core::cache::compute_mission_measures;
 use rascad_core::generator::generate_block;
 use rascad_core::hierarchy::{interval_availability_exact, solve_spec};
 use rascad_core::sweep::{lin_space, log_space, sweep, SweepPoint};
@@ -696,9 +697,10 @@ fn run_sweep_stages(profile: &BenchProfile) -> Result<Run, CliError> {
 
 /// Times the large-state-space workload: band GTH on a
 /// 10^4–10^5-state birth–death chain, the generator's occupancy
-/// expansion of a thousand-unit k-out-of-n block, and a brute-force
+/// expansion of a thousand-unit k-out-of-n block, a brute-force
 /// proof that exact lumping preserves the stationary vector on a
-/// `2^8`-state product space.
+/// `2^8`-state product space, and the mission step (interval
+/// availability, reliability and MTTF) of an 800-unit pool.
 fn run_large_stages(profile: &BenchProfile) -> Result<Run, CliError> {
     use rascad_markov::{identical_units_product, lump, occupancy_partition};
 
@@ -743,6 +745,12 @@ fn run_large_stages(profile: &BenchProfile) -> Result<Run, CliError> {
         small.steady_state(SteadyStateMethod::Gth).map_err(markov_err("lump_proof"))
     })?);
     let small = lump(&full, &partition).map_err(markov_err("lump_proof"))?;
+    // The mission step of a pool: the uniformization series over its
+    // 801 states, twice (availability and absorbing chain).
+    let pool = generate_block(&workloads::mission_pool(), &globals)?;
+    stages.push(time_stage("large_pool_mission", reps, || {
+        Ok(compute_mission_measures(&pool, workloads::MISSION_POOL_HOURS, None)?)
+    })?);
     let pi_full = full.steady_state(SteadyStateMethod::Gth).map_err(markov_err("lump_proof"))?;
     let pi_small = small.steady_state(SteadyStateMethod::Gth).map_err(markov_err("lump_proof"))?;
     let lump_max_delta = partition
@@ -1741,7 +1749,7 @@ mod tests {
         let (label, profile, n) = check_document(&doc).unwrap();
         assert_eq!(label, "large");
         assert_eq!(profile, "quick");
-        assert_eq!(n, 4);
+        assert_eq!(n, 5);
 
         let names: Vec<&str> = doc
             .get("stages")
@@ -1753,7 +1761,13 @@ mod tests {
             .collect();
         assert_eq!(
             names,
-            ["large_chain_solve", "large_block_generate", "large_block_solve", "lump_proof"]
+            [
+                "large_chain_solve",
+                "large_block_generate",
+                "large_block_solve",
+                "lump_proof",
+                "large_pool_mission"
+            ]
         );
 
         // check_document already gated the structural claims (GTH, ok

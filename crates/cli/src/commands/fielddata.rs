@@ -60,6 +60,7 @@ mod tests {
 
     #[test]
     fn fielddata_reports_comparison() {
+        let _lock = crate::commands::obs_test_lock();
         let spec = two_node_cluster(Default::default());
         let out = fielddata(&spec, &["15", "2", "7"]).unwrap();
         assert!(out.contains("server 0"));
@@ -69,6 +70,7 @@ mod tests {
 
     #[test]
     fn defaults_apply() {
+        let _lock = crate::commands::obs_test_lock();
         let spec = two_node_cluster(Default::default());
         let out = fielddata(&spec, &[]).unwrap();
         assert!(out.contains("2 server(s) x 15 month(s)"));

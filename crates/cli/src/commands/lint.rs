@@ -298,6 +298,7 @@ diagram "Sys" {
 
     #[test]
     fn tier_c_reports_structural_findings_with_positions() {
+        let _lock = crate::commands::obs_test_lock();
         // "Database" is the SPOF; declared on line 8, name at column 11.
         let text = r#"
 diagram "Shop" {
@@ -332,6 +333,7 @@ diagram "Shop" {
 
     #[test]
     fn max_cut_order_controls_idle_redundancy() {
+        let _lock = crate::commands::obs_test_lock();
         // Margin 5 on "Farm": invisible at order 4, a RAS202 finding.
         let text = r#"
 diagram "Grid" {
@@ -372,6 +374,7 @@ diagram "Grid" {
 
     #[test]
     fn sarif_format_names_the_artifact() {
+        let _lock = crate::commands::obs_test_lock();
         let spec = rascad_library::e10000::e10000();
         let path = write_temp("rascad_lint_sarif.rascad", &spec.to_dsl());
         let out = lint(&[path.to_str().unwrap(), "--tier-c", "--format", "sarif"]).unwrap();

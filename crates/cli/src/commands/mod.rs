@@ -508,8 +508,10 @@ pub(crate) fn num_arg<T: std::str::FromStr>(
 }
 
 /// Serializes tests that install the process-global `rascad-obs`
-/// subscriber (`stats`, `bench`): concurrent installs would clobber
-/// each other's sinks and cross-drain metrics.
+/// subscriber (`stats`, `bench`) and every test that solves a spec:
+/// concurrent installs would clobber each other's sinks and
+/// cross-drain metrics, and a solve beside `stats` would add to the
+/// counters it reports.
 #[cfg(test)]
 pub(crate) fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -549,6 +551,7 @@ mod tests {
 
     #[test]
     fn check_solve_dot_roundtrip_via_tempfile() {
+        let _lock = obs_test_lock();
         let dir = std::env::temp_dir();
         let path = dir.join("rascad_cli_test.rascad");
         let spec = rascad_library::datacenter::data_center();
@@ -577,6 +580,7 @@ mod tests {
 
     #[test]
     fn compare_two_specs() {
+        let _lock = obs_test_lock();
         let dir = std::env::temp_dir();
         let pa = dir.join("rascad_cmp_a.rascad");
         let pb = dir.join("rascad_cmp_b.rascad");
@@ -630,6 +634,7 @@ mod tests {
 
     #[test]
     fn no_lint_flag_accepted_on_clean_spec() {
+        let _lock = obs_test_lock();
         let dir = std::env::temp_dir();
         let path = dir.join("rascad_cli_nolint.rascad");
         std::fs::write(&path, rascad_library::workgroup::workgroup().to_dsl()).unwrap();

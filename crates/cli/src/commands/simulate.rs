@@ -47,6 +47,7 @@ mod tests {
 
     #[test]
     fn simulate_reports_ci() {
+        let _lock = crate::commands::obs_test_lock();
         let spec = two_node_cluster(Default::default());
         let out = simulate(&spec, &["20000", "8", "3"]).unwrap();
         assert!(out.contains("analytic availability"));

@@ -201,6 +201,7 @@ mod tests {
 
     #[test]
     fn solve_renders_report() {
+        let _lock = crate::commands::obs_test_lock();
         let out = solve(&data_center(), &[]).unwrap();
         assert!(out.contains("System steady-state availability"));
         assert!(out.contains("Data Center System"));
@@ -208,6 +209,7 @@ mod tests {
 
     #[test]
     fn best_effort_on_a_clean_spec_matches_strict() {
+        let _lock = crate::commands::obs_test_lock();
         let strict = solve(&data_center(), &["--strict"]).unwrap();
         let best = solve(&data_center(), &["--best-effort"]).unwrap();
         assert_eq!(strict, best);
@@ -297,6 +299,7 @@ mod tests {
 
     #[test]
     fn importance_ranks_all_blocks() {
+        let _lock = crate::commands::obs_test_lock();
         let out = importance(&data_center()).unwrap();
         assert!(out.contains("criticality"));
         // Every block path appears.

@@ -72,6 +72,7 @@ mod tests {
 
     #[test]
     fn sweeps_mtbf_logarithmically() {
+        let _lock = crate::commands::obs_test_lock();
         let spec = data_center();
         let out =
             sweep(&spec, &["Server Box/System Board", "mtbf", "10000", "1000000", "4", "--log"])

@@ -222,6 +222,27 @@ mod tests {
         }
     }
 
+    /// The flushed subnormal mass at the series' underflow front joins
+    /// the truncation: on a pool whose captured mass reads exactly 1
+    /// (perfbench's 313/282 pool at 8,760 h) the truncation is that mass
+    /// alone, above 0 and far below the bar the certificate grades.
+    #[test]
+    fn flushed_mass_makes_a_truncation_that_still_certifies_ok() {
+        use rascad_markov::transient::solve;
+        use rascad_spec::units::Hours;
+        let pool = rascad_spec::BlockParams::new("Pool", 313, 282).with_mtbf(Hours(9_000.0));
+        let model =
+            crate::generator::generate_block(&pool, &rascad_spec::GlobalParams::default()).unwrap();
+        let mut p0 = vec![0.0; model.chain.len()];
+        p0[model.ok_state()] = 1.0;
+        let opts = rascad_markov::TransientOptions::default();
+        let sol = solve(&model.chain, &p0, 8760.0, opts).unwrap();
+        assert!(sol.truncation > 0.0 && sol.truncation < 1e-290, "{:e}", sol.truncation);
+        let cert = certify_transient(&sol);
+        assert_eq!(cert.verdict, Verdict::Ok);
+        assert_eq!(cert.residual_inf.to_bits(), sol.truncation.to_bits());
+    }
+
     #[test]
     fn exact_solution_certifies_ok() {
         let chain = two_state();

@@ -68,8 +68,11 @@ pub enum FaultKind {
     /// singularity. The name (`not-converged` in plan files) predates
     /// the single-method solve and stays so existing plans parse.
     NotConverged,
-    /// Corrupt one generated transition rate to NaN so chain
-    /// construction fails with a typed `InvalidRate` error.
+    /// Simulate numerical corruption the solver cannot see: the
+    /// block's steady solve succeeds, its distribution π is poisoned to
+    /// NaN, and residual certification fails it as
+    /// `CoreError::Certification`. The name (`nan-rate` in plan files)
+    /// predates this behavior and stays so existing plans parse.
     NanRate,
     /// Force the block's steady solve to report a wall-clock budget
     /// timeout (no real time is spent).

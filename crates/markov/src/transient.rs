@@ -18,7 +18,10 @@
 //! The series stores `P` by diagonal when the chain's nonzeros lie on a
 //! few diagonals, as a k-out-of-n pool's do, and multiplies only the
 //! range of states its distribution has not underflowed out of; both
-//! leave every product bit-identical to the CSR scatter.
+//! leave every product bit-identical to the CSR scatter. Values too
+//! small for full f64 precision leave that range: after each product
+//! the subnormal entries at its ends are flushed to zero, and their
+//! mass enters the reported truncation (DESIGN.md §17).
 
 use std::ops::Range;
 
@@ -59,8 +62,10 @@ pub struct TransientSolution {
     pub interval_reward: f64,
     /// Probability mass the truncated Poisson series failed to capture
     /// (before renormalization) — the solve's truncation error. The
-    /// doubling kernel reports a bound, `2^s` times the tail bound of its
-    /// short series, which is at most the requested `epsilon`.
+    /// series adds the mass it flushed from its iterates' subnormal
+    /// ends. The doubling kernel reports a bound, `2^s` times the tail
+    /// bound of its short series, which is at most the requested
+    /// `epsilon`.
     pub truncation: f64,
     /// The kernel that produced the solution.
     pub kernel: TransientKernel,
@@ -311,9 +316,10 @@ enum SeriesMatrix<'a> {
 /// A series iterate: its `n` entries behind the matrix's zero padding,
 /// and the range `live` outside which every entry is zero.
 ///
-/// A large pool's distribution has underflowed to zero over most of its
-/// deep states, so products, accumulations and the stopping test run
-/// over `live` only. What they skip would only add exact zeros.
+/// A large pool's distribution has underflowed, or been flushed, to
+/// zero over most of its deep states, so products, accumulations and
+/// the stopping test run over `live` only. What they skip would only
+/// add exact zeros.
 struct Iterate {
     padded: Vec<f64>,
     front: usize,
@@ -330,13 +336,49 @@ impl Iterate {
         &self.entries()[self.live.clone()]
     }
 
-    /// Narrows `live` past the zeros at both of its ends.
-    fn trim(&mut self) {
-        let r = self.live.clone();
-        let e = &self.entries()[r.clone()];
-        let start = r.start + e.iter().take_while(|&&x| x == 0.0).count();
-        let end = r.end - e.iter().rev().take_while(|&&x| x == 0.0).count();
-        self.live = start..end.max(start);
+    /// Narrows `live` past the entries at both of its ends that are
+    /// zero or below `f64::MIN_POSITIVE`, setting the latter to zero,
+    /// and returns what it flushed, summed from the front and then from
+    /// the back. Interior entries stay as they are.
+    fn trim(&mut self) -> Flushed {
+        let (mut start, mut end) = (self.live.start, self.live.end);
+        let e = &mut self.padded[self.front..self.front + self.n];
+        let mut flushed = Flushed::default();
+        let mut flush = |x: &mut f64| {
+            if *x != 0.0 {
+                flushed.mass += *x;
+                flushed.entries += 1;
+                *x = 0.0;
+            }
+        };
+        while start < end && e[start] < f64::MIN_POSITIVE {
+            flush(&mut e[start]);
+            start += 1;
+        }
+        while end > start && e[end - 1] < f64::MIN_POSITIVE {
+            end -= 1;
+            flush(&mut e[end]);
+        }
+        self.live = start..end;
+        flushed
+    }
+}
+
+/// The mass and number of entries [`Iterate::trim`] flushed to zero.
+///
+/// An iterate is `p0 Pᵏ` less what earlier products flushed, so every
+/// later term of the series misses at most the flushed total, and
+/// the series adds that total to its truncation.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Flushed {
+    mass: f64,
+    entries: usize,
+}
+
+impl std::ops::AddAssign for Flushed {
+    fn add_assign(&mut self, other: Flushed) {
+        self.mass += other.mass;
+        self.entries += other.entries;
     }
 }
 
@@ -370,8 +412,9 @@ impl<'a> SeriesMatrix<'a> {
         Iterate { padded: vec![0.0; front + n + back], front, n, live: 0..0 }
     }
 
-    /// `next = probs · P`, with `next.live` trimmed to its nonzeros.
-    fn product(&self, probs: &Iterate, next: &mut Iterate) {
+    /// `next = probs · P`, with `next.live` trimmed by
+    /// [`Iterate::trim`]; returns what the trim flushed.
+    fn product(&self, probs: &Iterate, next: &mut Iterate) -> Flushed {
         match self {
             SeriesMatrix::Diagonals(d) => {
                 let cols = d.reach(probs.live.clone());
@@ -388,7 +431,7 @@ impl<'a> SeriesMatrix<'a> {
                 next.live = 0..next.n;
             }
         }
-        next.trim();
+        next.trim()
     }
 }
 
@@ -444,7 +487,7 @@ fn series(
         x
     };
 
-    let mut steps = 0usize;
+    let (mut steps, mut flushed) = (0usize, Flushed::default());
     // Scratch iterate reused across every product so the Poisson series
     // allocates nothing per term.
     let mut next = matrix.zeros(n);
@@ -464,7 +507,7 @@ fn series(
         axpy(tail_k, probs.live_entries(), &mut cum_acc[live]);
         trace.step(k + 1, tail_k);
         if k < kmax {
-            matrix.product(&probs, &mut next);
+            flushed += matrix.product(&probs, &mut next);
             steps += 1;
             // Steady-state detection: once the DTMC iterates stop
             // moving, all remaining Poisson mass lands on the same
@@ -483,12 +526,15 @@ fn series(
     span.record("kmax", kmax);
     span.record("steps", steps);
     span.record("storage", matrix.storage());
+    span.record("flushed", flushed.mass);
     rascad_obs::record_value("markov.transient.kmax", kmax as f64);
     rascad_obs::counter("markov.transient.vec_mul_steps", steps as u64);
+    rascad_obs::counter("markov.transient.flushed", flushed.entries as u64);
 
     // The probability mass the truncated series failed to capture —
-    // the per-solve summary of the per-term series traced above.
-    let truncation = (1.0 - point_acc.iter().sum::<f64>()).max(0.0);
+    // the per-solve summary of the per-term series traced above — and
+    // the mass the trims flushed from the iterates.
+    let truncation = (1.0 - point_acc.iter().sum::<f64>()).max(0.0) + flushed.mass;
     let cumulative = dot(&cum_acc, rewards) / uni.rate;
     Ok(KernelRun { probabilities: point_acc, cumulative, truncation })
 }
@@ -701,11 +747,16 @@ pub fn solve_grid(
     // Scratch iterate reused across every product (no per-term
     // allocation in the shared-series sweep).
     let mut next = matrix.zeros(n);
+    // What the trims had flushed by each point's last term: that
+    // point's share of the truncation.
+    let mut flushed = Flushed::default();
+    let mut point_flushed = vec![0.0; times.len()];
     for k in 0..=kmax {
         let live = probs.live.clone();
         for i in 0..times.len() {
             let (off, lo) = (offsets[i], los[i]);
-            if k < lo + offsets[i + 1] - off {
+            let end = lo + offsets[i + 1] - off;
+            if k < end {
                 let (wk, tk) = if k < lo {
                     (0.0, totals[i])
                 } else {
@@ -715,16 +766,21 @@ pub fn solve_grid(
                 axpy(wk, probs.live_entries(), &mut pa[live.clone()]);
                 let ca = &mut cum_acc[i * n..(i + 1) * n];
                 axpy(tk, probs.live_entries(), &mut ca[live.clone()]);
+                if k + 1 == end {
+                    point_flushed[i] = flushed.mass;
+                }
             }
         }
         if k < kmax {
-            matrix.product(&probs, &mut next);
+            flushed += matrix.product(&probs, &mut next);
             std::mem::swap(&mut probs, &mut next);
         }
     }
     span.record("kmax", kmax);
+    span.record("flushed", flushed.mass);
     rascad_obs::record_value("markov.transient.kmax", kmax as f64);
     rascad_obs::counter("markov.transient.vec_mul_steps", kmax as u64);
+    rascad_obs::counter("markov.transient.flushed", flushed.entries as u64);
     rascad_obs::counter("markov.transient.grid_solves", 1);
 
     let max_reward = rewards.iter().cloned().fold(0.0, f64::max);
@@ -734,7 +790,7 @@ pub fn solve_grid(
         .map(|(i, &t)| {
             let mut p = point_acc[i * n..(i + 1) * n].to_vec();
             let mass: f64 = p.iter().sum();
-            let truncation = (1.0 - mass).max(0.0);
+            let truncation = (1.0 - mass).max(0.0) + point_flushed[i];
             if mass > 0.0 {
                 for x in &mut p {
                     *x /= mass;
@@ -1073,6 +1129,60 @@ mod tests {
         }
         let scattered = uniformize(&b.build().unwrap());
         assert_eq!(SeriesMatrix::new(&scattered.dtmc).storage(), "csr");
+    }
+
+    /// `entries` as a fully live iterate behind one slot of padding on
+    /// each side, as diagonal storage keeps.
+    fn iterate_of(entries: &[f64]) -> Iterate {
+        let mut padded = vec![0.0; entries.len() + 2];
+        padded[1..=entries.len()].copy_from_slice(entries);
+        Iterate { padded, front: 1, n: entries.len(), live: 0..entries.len() }
+    }
+
+    #[test]
+    fn trim_flushes_subnormal_ends_and_keeps_the_interior() {
+        let (a, b) = (3e-310, f64::MIN_POSITIVE / 4.0);
+        let mut it = iterate_of(&[0.0, a, 0.25, 5e-320, 0.0, 0.75, b, 0.0]);
+        assert_eq!(it.trim(), Flushed { mass: a + b, entries: 2 });
+        assert_eq!(a + b - a, b, "a sum of subnormals is exact");
+        assert_eq!(it.live, 2..6);
+        // The interior subnormal and zero stay; the ends are zero.
+        assert_eq!(it.entries(), [0.0, 0.0, 0.25, 5e-320, 0.0, 0.75, 0.0, 0.0]);
+        // Normal entries at the ends stop the trim at once.
+        let mut it = iterate_of(&[f64::MIN_POSITIVE, 0.5, 0.0, f64::MIN_POSITIVE]);
+        assert_eq!(it.trim(), Flushed::default());
+        assert_eq!(it.live, 0..4);
+        // An iterate that is all subnormal empties.
+        let mut it = iterate_of(&[b, 0.0, 5e-320, b]);
+        assert_eq!(it.trim(), Flushed { mass: b + 5e-320 + b, entries: 3 });
+        assert!(it.live.is_empty());
+        assert_eq!(it.entries(), [0.0; 4]);
+        assert_eq!(it.padded, [0.0; 6]);
+    }
+
+    #[test]
+    fn solve_grid_adds_each_points_flushed_mass_to_its_truncation() {
+        // A 301-state pool whose deep levels underflow: the series
+        // flushes at every product, and the captured mass reads 1.
+        let c = independent_units(300, 270, 1e-3, 0.25);
+        let p0 = p0_at(301, 0);
+        let opts = TransientOptions::default();
+        let times = [900.0, 20.0, 300.0];
+        let grid = solve_grid(&c, &p0, &times, opts).unwrap();
+        let uni = uniformize(&c);
+        let matrix = SeriesMatrix::new(&uni.dtmc);
+        for (sol, &t) in grid.iter().zip(&times) {
+            // The products this point's window spans, replayed.
+            let window = poisson_weights(uni.rate * t, opts.epsilon, opts.max_terms).unwrap();
+            let (mut probs, mut next) = (matrix.iterate(&p0), matrix.zeros(301));
+            let mut flushed = Flushed::default();
+            for _ in 0..window.lo + window.w.len() - 1 {
+                flushed += matrix.product(&probs, &mut next);
+                std::mem::swap(&mut probs, &mut next);
+            }
+            assert!(flushed.entries > 0 && flushed.mass > 0.0, "t={t}: {flushed:?}");
+            assert_eq!(sol.truncation, flushed.mass, "t={t}");
+        }
     }
 
     #[test]

@@ -197,6 +197,12 @@ pub const CATALOG: &[MetricDesc] = &[
         help: "Steady-state solves by method (lu, gth)",
     },
     MetricDesc {
+        name: "markov.transient.flushed",
+        kind: MetricKind::Counter,
+        labels: &[],
+        help: "Subnormal entries the transient series flushed to zero at its iterates' ends",
+    },
+    MetricDesc {
         name: "markov.transient.grid_solves",
         kind: MetricKind::Counter,
         labels: &[],
@@ -224,7 +230,8 @@ pub const CATALOG: &[MetricDesc] = &[
         name: "markov.transient.truncation",
         kind: MetricKind::Histogram,
         labels: &[],
-        help: "Residual truncation mass (1 - captured probability) per transient solve",
+        help: "Residual truncation mass (1 - captured probability, plus the series' flushed \
+               subnormal mass) per transient solve",
     },
     MetricDesc {
         name: "markov.transient.vec_mul_steps",

@@ -2,9 +2,13 @@
 //! nonnegative doubling — agree on every chain the Model Generator
 //! builds, and each chain family runs the kernel its size calls for.
 //! The series, which stores a pool's `P` by diagonal, is bit-identical
-//! to the CSR scatter series it replaced, kept here as the reference.
-//! On the same chains, the band-elimination MTTF and failure modes
-//! agree with a dense LU solve of `−Q_UU`.
+//! to the CSR scatter series it replaced, kept here as the reference
+//! with the kernel's flush of the iterates' subnormal ends. Against the
+//! same series without that flush, the answers and product counts are
+//! bit-identical, and the truncation and every probability move by no
+//! more than the flushed mass. On the same chains, the
+//! band-elimination MTTF and failure modes agree with a dense LU solve
+//! of `−Q_UU`.
 
 use rascad::core::generator::{generate_block, BlockModel};
 use rascad::library::{cluster, datacenter, e10000, workgroup};
@@ -311,13 +315,42 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
+/// What a CSR reference series returns: the solution, the products it
+/// ran and the mass its flush dropped (0 without the flush).
+struct Reference {
+    solution: TransientSolution,
+    steps: usize,
+    flushed: f64,
+}
+
+/// The kernel's end flush on a whole iterate: the entries below
+/// `f64::MIN_POSITIVE` before the first and after the last one that is
+/// not go to zero. Returns their sum, added from the front and then
+/// from the back, in the kernel's order.
+fn flush_ends(v: &mut [f64]) -> f64 {
+    let (mut mass, mut head, mut end) = (0.0, 0, v.len());
+    while head < end && v[head] < f64::MIN_POSITIVE {
+        mass += v[head];
+        v[head] = 0.0;
+        head += 1;
+    }
+    while end > head && v[end - 1] < f64::MIN_POSITIVE {
+        end -= 1;
+        mass += v[end];
+        v[end] = 0.0;
+    }
+    mass
+}
+
 /// The uniformization series as it ran on CSR: every term's scatter
-/// product `vec_mul_into` over all states, then the point and
-/// cumulative accumulators and (with `stop`) the L1 stopping test, each
-/// a pass of its own — the reference the diagonal kernel must match bit
-/// for bit. `solve_grid` runs without the stopping test. Returns the
-/// solution and the products it ran.
-fn csr_series(chain: &Ctmc, p0: &[f64], t: f64, stop: bool) -> (TransientSolution, usize) {
+/// product `vec_mul_into` over all states, then (with `flush`) the
+/// kernel's end flush, and one pass over all states for the point and
+/// cumulative accumulators and (with `stop`) the L1 stopping test.
+/// With `flush` it is the reference the diagonal kernel must match bit
+/// for bit, and its truncation adds the flushed mass; without, it is
+/// the series before the flush. `solve_grid` runs without the stopping
+/// test.
+fn csr_series(chain: &Ctmc, p0: &[f64], t: f64, stop: bool, flush: bool) -> Reference {
     let opts = TransientOptions::default();
     let rewards = chain.rewards();
     let uni = uniformize(chain);
@@ -346,22 +379,29 @@ fn csr_series(chain: &Ctmc, p0: &[f64], t: f64, stop: bool) -> (TransientSolutio
     };
     let (mut probs, mut next) = (p0.to_vec(), vec![0.0; n]);
     let (mut point_acc, mut cum_acc) = (vec![0.0; n], vec![0.0; n]);
-    let mut steps = 0;
+    let (mut steps, mut flushed) = (0, 0.0);
     for k in 0..=kmax {
         let tail_k = if k < lo { below } else { tail[k - lo] };
-        if k >= lo {
-            let w = weights[k - lo];
-            for i in 0..n {
-                point_acc[i] += w * probs[i];
-            }
-        }
-        for i in 0..n {
-            cum_acc[i] += tail_k * probs[i];
-        }
+        // Below the window the weight is zero, and adding `+0` to a
+        // nonnegative sum leaves its bits.
+        let w = if k >= lo { weights[k - lo] } else { 0.0 };
         if k < kmax {
             uni.dtmc.vec_mul_into(&probs, &mut next);
+            if flush {
+                flushed += flush_ends(&mut next);
+            }
             steps += 1;
-            let delta: f64 = next.iter().zip(&probs).map(|(a, b)| (a - b).abs()).sum();
+        }
+        // Term `k` into both accumulators and, summed in index order,
+        // the L1 distance to term `k + 1`, in one pass.
+        let mut delta = 0.0;
+        for i in 0..n {
+            let p = probs[i];
+            point_acc[i] += w * p;
+            cum_acc[i] += tail_k * p;
+            delta += (next[i] - p).abs();
+        }
+        if k < kmax {
             std::mem::swap(&mut probs, &mut next);
             if stop && delta < opts.epsilon * 1e-3 {
                 let tail2_next = tail2_at(k + 1);
@@ -373,7 +413,7 @@ fn csr_series(chain: &Ctmc, p0: &[f64], t: f64, stop: bool) -> (TransientSolutio
             }
         }
     }
-    let truncation = (1.0 - point_acc.iter().sum::<f64>()).max(0.0);
+    let truncation = (1.0 - point_acc.iter().sum::<f64>()).max(0.0) + flushed;
     let cumulative = dot(&cum_acc, &rewards) / uni.rate;
     let mass: f64 = point_acc.iter().sum();
     if mass > 0.0 {
@@ -390,40 +430,52 @@ fn csr_series(chain: &Ctmc, p0: &[f64], t: f64, stop: bool) -> (TransientSolutio
         truncation,
         kernel: TransientKernel::Series,
     };
-    (solution, steps)
+    Reference { solution, steps, flushed }
+}
+
+/// What the last `markov.transient` span a thread closed recorded about
+/// its series: the products it ran (the count
+/// `markov.transient.vec_mul_steps` adds up) and the mass it flushed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SeriesSpan {
+    steps: usize,
+    flushed: f64,
 }
 
 thread_local! {
-    /// The `steps` field of the last `markov.transient` span this
-    /// thread closed: the products its series ran, the count
-    /// `markov.transient.vec_mul_steps` adds up.
-    static SERIES_STEPS: Cell<Option<usize>> = const { Cell::new(None) };
+    static SERIES_SPAN: Cell<Option<SeriesSpan>> = const { Cell::new(None) };
 }
 
-/// Keeps each series span's `steps` on the thread that closed it, so
-/// tests running side by side read only their own solves.
+/// Keeps each series span's `steps` and `flushed` on the thread that
+/// closed it, so tests running side by side read only their own solves.
 struct StepSink;
 
 impl Sink for StepSink {
     fn event(&mut self, event: &Event) {
         if let Event::SpanEnd { name: "markov.transient", fields, .. } = event {
+            let (mut steps, mut flushed) = (None, None);
             for (key, value) in fields {
-                if let ("steps", FieldValue::U64(steps)) = (*key, value) {
-                    SERIES_STEPS.with(|c| c.set(Some(*steps as usize)));
+                match (*key, value) {
+                    ("steps", FieldValue::U64(v)) => steps = Some(*v as usize),
+                    ("flushed", FieldValue::F64(v)) => flushed = Some(*v),
+                    _ => {}
                 }
+            }
+            if let (Some(steps), Some(flushed)) = (steps, flushed) {
+                SERIES_SPAN.with(|c| c.set(Some(SeriesSpan { steps, flushed })));
             }
         }
     }
 }
 
-/// Runs one solve with telemetry on and returns its result with the
-/// products its series ran (`None` when doubling ran instead).
-fn with_series_steps<T>(solve: impl FnOnce() -> T) -> (T, Option<usize>) {
+/// Runs one solve with telemetry on and returns its result with what
+/// its series' span recorded (`None` when doubling ran instead).
+fn with_series_span<T>(solve: impl FnOnce() -> T) -> (T, Option<SeriesSpan>) {
     static INSTALL: Once = Once::new();
     INSTALL.call_once(|| rascad_obs::install(vec![Box::new(StepSink)]));
-    SERIES_STEPS.with(|c| c.set(None));
+    SERIES_SPAN.with(|c| c.set(None));
     let out = solve();
-    (out, SERIES_STEPS.with(Cell::take))
+    (out, SERIES_SPAN.with(Cell::take))
 }
 
 /// `got` and `want` as raw bits, every probability included.
@@ -437,46 +489,102 @@ fn assert_bit_identical(what: &str, got: &TransientSolution, want: &TransientSol
     assert!(bits(got) == bits(want), "{what}: {got:?}\nvs the CSR series {want:?}");
 }
 
-/// One block's mission step on both series: interval and point from
-/// `Ok` to `t`, and the reliability pair `R(t)`, `R(t + dt)` as
-/// `reliability_curve` computes it (the second point from the first's
-/// distribution, on whichever kernel the library selects for each
-/// gap; doubling is untouched, so only series gaps take the
-/// reference), each with the reference's count of products. Returns
-/// the series products run.
+/// One series solve from `p0` against both references: bit for bit,
+/// with the product count and flushed mass its span records, against
+/// the flushed CSR series from `p0`; and against the unflushed series
+/// from `q0`, which `drift` bounds `p0` apart from in every entry: the
+/// same product count, the truncation plus the flushed mass, and every
+/// probability within `drift` plus that mass. Returns the unflushed
+/// solution, the products and the drift after this solve.
+fn assert_series_step(
+    what: &str,
+    chain: &Ctmc,
+    (p0, q0, drift): (&[f64], &[f64], f64),
+    got: &TransientSolution,
+    span: Option<SeriesSpan>,
+) -> (TransientSolution, usize, f64) {
+    let want = csr_series(chain, p0, got.time, true, true);
+    assert_bit_identical(what, got, &want.solution);
+    let span = span.unwrap_or_else(|| panic!("{what}: no series span"));
+    assert_eq!(span.steps, want.steps, "{what}: vec_mul_steps");
+    assert_eq!(span.flushed.to_bits(), want.flushed.to_bits(), "{what}: flushed mass");
+    // Nothing flushed from the same start: the unflushed series would
+    // run the flushed one's very operations.
+    let plain = if want.flushed == 0.0 && drift == 0.0 {
+        want.solution
+    } else {
+        let plain = csr_series(chain, q0, got.time, true, false);
+        assert_eq!(plain.steps, want.steps, "{what}: products against the unflushed series");
+        plain.solution
+    };
+    let truncation = plain.truncation + want.flushed;
+    if drift == 0.0 {
+        assert_eq!(got.truncation.to_bits(), truncation.to_bits(), "{what}: truncation");
+    } else {
+        assert!((got.truncation - truncation).abs() <= drift, "{what}: truncation");
+    }
+    let drift = drift + want.flushed;
+    for (i, (a, b)) in got.probabilities.iter().zip(&plain.probabilities).enumerate() {
+        assert!(
+            (a - b).abs() <= drift,
+            "{what}: state {i} {a:e} vs {b:e} unflushed, drift {drift:e}"
+        );
+    }
+    (plain, want.steps, drift)
+}
+
+/// One block's mission step on the kernel and both references:
+/// interval and point from `Ok` to `t`, and the reliability pair
+/// `R(t)`, `R(t + dt)` as `reliability_curve` computes it (the second
+/// point from the first's distribution, on whichever kernel the library
+/// selects for each gap; doubling is untouched, so only series gaps
+/// take the references). Interval, point, `R(t)` and `R(t + dt)` are
+/// bit-identical to the unflushed series'. Returns the series products
+/// run.
 fn assert_series_matches_csr(what: &str, model: &BlockModel, t: f64) -> usize {
     let chain = &model.chain;
     let mut p0 = vec![0.0; chain.len()];
     p0[model.ok_state()] = 1.0;
     let opts = TransientOptions::default();
-    let (got, steps) =
-        with_series_steps(|| solve_with(chain, &p0, t, opts, TransientKernel::Series).unwrap());
-    let (want, want_steps) = csr_series(chain, &p0, t, true);
-    assert_bit_identical(&format!("{what} at {t} h"), &got, &want);
-    assert_eq!(steps, Some(want_steps), "{what} at {t} h: vec_mul_steps");
-    let mut products = want_steps;
+    let (got, span) =
+        with_series_span(|| solve_with(chain, &p0, t, opts, TransientKernel::Series).unwrap());
+    let at_t = format!("{what} at {t} h");
+    let (plain, mut products, _) = assert_series_step(&at_t, chain, (&p0, &p0, 0.0), &got, span);
+    assert_eq!(got.point_reward.to_bits(), plain.point_reward.to_bits(), "{at_t}: point");
+    assert_eq!(got.interval_reward.to_bits(), plain.interval_reward.to_bits(), "{at_t}: interval");
     if chain.down_states().is_empty() {
         return products;
     }
     let abs = make_absorbing(chain);
     let dt = (t * 1e-3).max(1e-6);
     let curve = absorbing::reliability_curve(chain, model.ok_state(), &[t, t + dt]).unwrap();
-    let mut p = p0;
+    let reliability =
+        |p: &[f64]| abs.up_states().iter().map(|&s| p[s]).sum::<f64>().clamp(0.0, 1.0);
+    // `p` runs on the kernel, `q` on the unflushed series.
+    let (mut p, mut q, mut drift) = (p0.clone(), p0, 0.0);
     let mut at = 0.0;
     for (i, to) in [t, t + dt].into_iter().enumerate() {
         let gap = to - at;
-        let (step, steps) = with_series_steps(|| solve(&abs, &p, gap, opts).unwrap());
-        if step.kernel == TransientKernel::Series {
-            let (want, want_steps) = csr_series(&abs, &p, gap, true);
+        let (step, span) = with_series_span(|| solve(&abs, &p, gap, opts).unwrap());
+        let plain = if step.kernel == TransientKernel::Series {
             let over = format!("{what}: R over ({at}, {to}) h");
-            assert_bit_identical(&over, &step, &want);
-            assert_eq!(steps, Some(want_steps), "{over}: vec_mul_steps");
-            products += want_steps;
-        }
+            let (plain, steps, moved) =
+                assert_series_step(&over, &abs, (&p, &q, drift), &step, span);
+            products += steps;
+            drift = moved;
+            plain
+        } else {
+            solve(&abs, &q, gap, opts).unwrap()
+        };
         p = step.probabilities;
+        q = plain.probabilities;
         at = to;
-        let r: f64 = abs.up_states().iter().map(|&s| p[s]).sum();
-        assert_eq!(curve.reliability[i].to_bits(), r.clamp(0.0, 1.0).to_bits(), "{what}: R");
+        assert_eq!(curve.reliability[i].to_bits(), reliability(&p).to_bits(), "{what}: R");
+        assert_eq!(
+            reliability(&p).to_bits(),
+            reliability(&q).to_bits(),
+            "{what}: R against the unflushed series"
+        );
     }
     products
 }
@@ -504,7 +612,10 @@ fn series_matches_the_csr_reference_on_pools() {
             }
         }
     }
-    eprintln!("pool census: {products} series products, each bit-identical to CSR");
+    eprintln!(
+        "pool census: {products} series products, each bit-identical to CSR, answers to the \
+         unflushed series"
+    );
 }
 
 #[test]
@@ -530,8 +641,9 @@ fn series_matches_the_csr_reference_on_every_bundled_spec_and_library_block() {
 }
 
 /// `solve_grid` shares one series across its time points, with no
-/// stopping test; every point matches the CSR series run to that time
-/// alone without one. The hierarchy nests a pool (diagonal storage)
+/// stopping test; every point matches the flushed CSR series run to
+/// that time alone without one, and the unflushed series' point,
+/// interval and truncation plus the flushed mass. The hierarchy nests a pool (diagonal storage)
 /// beside template blocks (CSR).
 #[test]
 fn grid_matches_the_csr_reference_on_a_hierarchy() {
@@ -549,11 +661,16 @@ fn grid_matches_the_csr_reference_on_a_hierarchy() {
         p0[model.ok_state()] = 1.0;
         let grid = solve_grid(&model.chain, &p0, &times, TransientOptions::default()).unwrap();
         for (got, &t) in grid.iter().zip(&times) {
-            let (want, _) = csr_series(&model.chain, &p0, t, false);
+            let want = csr_series(&model.chain, &p0, t, false, true);
+            let plain = csr_series(&model.chain, &p0, t, false, false).solution;
             let what = format!("{path} grid at {t} h");
-            assert_eq!(got.point_reward.to_bits(), want.point_reward.to_bits(), "{what}");
-            assert_eq!(got.interval_reward.to_bits(), want.interval_reward.to_bits(), "{what}");
-            assert_eq!(got.truncation.to_bits(), want.truncation.to_bits(), "{what}");
+            for want in [&want.solution, &plain] {
+                assert_eq!(got.point_reward.to_bits(), want.point_reward.to_bits(), "{what}");
+                assert_eq!(got.interval_reward.to_bits(), want.interval_reward.to_bits(), "{what}");
+            }
+            assert_eq!(got.truncation.to_bits(), want.solution.truncation.to_bits(), "{what}");
+            let truncation = plain.truncation + want.flushed;
+            assert_eq!(got.truncation.to_bits(), truncation.to_bits(), "{what}: unflushed");
         }
         storages += 1;
     });
