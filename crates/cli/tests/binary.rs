@@ -98,6 +98,24 @@ fn lint_bound_check_reads_the_rolled_up_unavailability() {
         lint.contains("exact system unavailability 0.000e0 <= 0.000e0, the union bound"),
         "{lint}"
     );
+    // Each Tier C pass closes a span of its own inside `lint.tier_c`.
+    let (ok, trace, stderr) = rascad(&["--trace", "-", "lint", path.to_str().unwrap(), "--tier-c"]);
+    assert!(ok, "{stderr}");
+    let (mut tier_c, mut inside) = (None, Vec::new());
+    for line in trace.lines().filter(|l| l.starts_with('{')) {
+        let v = rascad_obs::json::parse(line).unwrap();
+        if v.get("ev").and_then(|e| e.as_str()) != Some("span_start") {
+            continue;
+        }
+        let name = v.get("name").unwrap().as_str().unwrap().to_string();
+        if name == "lint.tier_c" {
+            tier_c = v.get("id").and_then(|i| i.as_f64());
+        } else if tier_c.is_some() && v.get("parent").and_then(|p| p.as_f64()) == tier_c {
+            inside.push(name);
+        }
+    }
+    let passes = ["compile", "spof", "idle", "importance", "symmetry", "bound"];
+    assert_eq!(inside, passes.map(|p| format!("lint.tier_c.{p}")), "{trace}");
     std::fs::remove_file(&path).ok();
 }
 

@@ -249,10 +249,12 @@ pub fn analyze_structure(
     let mut span = rascad_obs::span("lint.tier_c");
     rascad_obs::counter("lint.tier_c.runs", 1);
 
+    let compiling = rascad_obs::span("lint.tier_c.compile");
     let mut s = compile(spec);
     let owner = s.var_owner();
     let minsol = s.bdd.minimal_solutions(s.failure);
     let (cuts, truncated) = s.bdd.solutions_up_to(minsol, opts.max_cut_order.max(1));
+    drop(compiling);
 
     span.record("blocks", s.blocks.len());
     span.record("unit_vars", s.num_vars);
@@ -280,6 +282,7 @@ fn single_points_of_failure(
     cuts: &[Vec<usize>],
     diags: &mut Vec<Diagnostic>,
 ) {
+    let _span = rascad_obs::span("lint.tier_c.spof");
     let mut flagged = vec![false; s.blocks.len()];
     for cut in cuts.iter().filter(|c| c.len() == 1) {
         flagged[owner[cut[0]]] = true;
@@ -315,6 +318,7 @@ fn idle_redundancy(
     opts: &TierCOptions,
     diags: &mut Vec<Diagnostic>,
 ) {
+    let _span = rascad_obs::span("lint.tier_c.idle");
     let mut in_cut = vec![false; s.num_vars];
     for &v in cuts.iter().flatten() {
         in_cut[v] = true;
@@ -344,6 +348,7 @@ fn importance_ranking(s: &mut Structure<'_>, opts: &TierCOptions, diags: &mut Ve
     if opts.top_importance == 0 {
         return;
     }
+    let _span = rascad_obs::span("lint.tier_c.importance");
     let imp = s.bdd.birnbaum_half(s.failure, s.num_vars);
     let mut ranked: Vec<(usize, f64)> = s
         .blocks
@@ -383,6 +388,7 @@ fn importance_ranking(s: &mut Structure<'_>, opts: &TierCOptions, diags: &mut Ve
 /// transpositions for units, a whole-range variable swap for blocks),
 /// so the note is a sound input for exact state lumping.
 fn symmetry_classes(s: &mut Structure<'_>, diags: &mut Vec<Diagnostic>) {
+    let _span = rascad_obs::span("lint.tier_c.symmetry");
     // (a) Units within one block: adjacent transpositions generate the
     // full symmetric group on the block's unit variables.
     for bi in 0..s.blocks.len() {
@@ -471,6 +477,7 @@ fn blocks_swap_invariant(s: &mut Structure<'_>, i: usize, j: usize) -> bool {
 /// RAS205: the union bound over block-level cut sets must dominate the
 /// exact hierarchical solve.
 fn cut_set_bound_check(spec: &SystemSpec, exact: &ExactSolve, diags: &mut Vec<Diagnostic>) {
+    let _span = rascad_obs::span("lint.tier_c.bound");
     let bound = cut_set_bound(exact);
     diags.push(Diagnostic::new(
         codes::CUT_SET_BOUND,

@@ -488,6 +488,7 @@ fn series(
     };
 
     let (mut steps, mut flushed) = (0usize, Flushed::default());
+    let (mut live_entries, mut exact_sums) = (0usize, 0usize);
     // Scratch iterate reused across every product so the Poisson series
     // allocates nothing per term.
     let mut next = matrix.zeros(n);
@@ -507,12 +508,13 @@ fn series(
         axpy(tail_k, probs.live_entries(), &mut cum_acc[live]);
         trace.step(k + 1, tail_k);
         if k < kmax {
+            live_entries += probs.live.len();
             flushed += matrix.product(&probs, &mut next);
             steps += 1;
             // Steady-state detection: once the DTMC iterates stop
             // moving, all remaining Poisson mass lands on the same
             // vector — close both series in one step.
-            let settled = l1_distance_below(&next, &probs, opts.epsilon * 1e-3);
+            let settled = l1_distance_below(&next, &probs, opts.epsilon * 1e-3, &mut exact_sums);
             std::mem::swap(&mut probs, &mut next);
             if settled {
                 let live = probs.live.clone();
@@ -525,6 +527,8 @@ fn series(
     trace.finish("done");
     span.record("kmax", kmax);
     span.record("steps", steps);
+    span.record("live", live_entries);
+    span.record("exact_sums", exact_sums);
     span.record("storage", matrix.storage());
     span.record("flushed", flushed.mass);
     rascad_obs::record_value("markov.transient.kmax", kmax as f64);
@@ -546,13 +550,33 @@ fn axpy(a: f64, x: &[f64], acc: &mut [f64]) {
     }
 }
 
+/// Entries [`l1_distance_below`] checks at a time for one term that
+/// decides it: each chunk is compared without a branch, so it
+/// vectorizes, and the scan branches once per chunk.
+const STOP_CHUNK: usize = 8;
+
 /// Whether `Σ_j |a_j − b_j|`, summed in index order over the hull of
 /// both live ranges, is below `threshold`: the series' stopping test.
 /// Entries outside the hull are zero in both and add nothing.
-fn l1_distance_below(a: &Iterate, b: &Iterate, threshold: f64) -> bool {
+///
+/// Rounding to nearest is monotone, so a rounded sum of nonnegative
+/// terms is never below its largest term: one term at or above
+/// `threshold` makes the answer `false`, exactly as the sum would, NaN
+/// and ±∞ entries included. The test looks for such a term from the
+/// front, [`STOP_CHUNK`] entries at a time, and sums only when there is
+/// none; `exact_sums` counts those calls.
+fn l1_distance_below(a: &Iterate, b: &Iterate, threshold: f64, exact_sums: &mut usize) -> bool {
     let live = a.live.start.min(b.live.start)..a.live.end.max(b.live.end);
     let (a, b) = (&a.entries()[live.clone()], &b.entries()[live]);
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>() < threshold
+    let term = |(x, y): (&f64, &f64)| (x - y).abs();
+    let decided = a.chunks(STOP_CHUNK).zip(b.chunks(STOP_CHUNK)).any(|(x, y)| {
+        x.iter().zip(y).map(term).fold(false, |reached, d| reached | (d >= threshold))
+    });
+    if decided {
+        return false;
+    }
+    *exact_sums += 1;
+    a.iter().zip(b).map(term).sum::<f64>() < threshold
 }
 
 /// Nonnegative doubling. With `s = ⌈log2 Λt⌉` and `τ = t/2^s` (so
@@ -749,7 +773,7 @@ pub fn solve_grid(
     let mut next = matrix.zeros(n);
     // What the trims had flushed by each point's last term: that
     // point's share of the truncation.
-    let mut flushed = Flushed::default();
+    let (mut flushed, mut live_entries) = (Flushed::default(), 0usize);
     let mut point_flushed = vec![0.0; times.len()];
     for k in 0..=kmax {
         let live = probs.live.clone();
@@ -772,11 +796,13 @@ pub fn solve_grid(
             }
         }
         if k < kmax {
+            live_entries += probs.live.len();
             flushed += matrix.product(&probs, &mut next);
             std::mem::swap(&mut probs, &mut next);
         }
     }
     span.record("kmax", kmax);
+    span.record("live", live_entries);
     span.record("flushed", flushed.mass);
     rascad_obs::record_value("markov.transient.kmax", kmax as f64);
     rascad_obs::counter("markov.transient.vec_mul_steps", kmax as u64);
@@ -1158,6 +1184,133 @@ mod tests {
         assert!(it.live.is_empty());
         assert_eq!(it.entries(), [0.0; 4]);
         assert_eq!(it.padded, [0.0; 6]);
+    }
+
+    /// An iterate of `n` zeros with `entries` live from `start`.
+    fn live_iterate(n: usize, start: usize, entries: &[f64]) -> Iterate {
+        let mut it = iterate_of(&vec![0.0; n]);
+        let from = it.front + start;
+        it.padded[from..from + entries.len()].copy_from_slice(entries);
+        it.live = start..start + entries.len();
+        it
+    }
+
+    /// The stopping test as a plain index-order sum over the hull.
+    fn summed_below(a: &Iterate, b: &Iterate, threshold: f64) -> bool {
+        let hull = a.live.start.min(b.live.start)..a.live.end.max(b.live.end);
+        let mut sum = 0.0;
+        for j in hull {
+            sum += (a.entries()[j] - b.entries()[j]).abs();
+        }
+        sum < threshold
+    }
+
+    /// Checks the stopping test against the plain sum and returns its
+    /// answer and whether it summed.
+    fn stop_test(a: &Iterate, b: &Iterate, threshold: f64) -> (bool, bool) {
+        let mut exact_sums = 0;
+        let below = l1_distance_below(a, b, threshold, &mut exact_sums);
+        assert_eq!(below, summed_below(a, b, threshold), "{:?} {:?} {threshold:e}", a.live, b.live);
+        (below, exact_sums == 1)
+    }
+
+    #[test]
+    fn stopping_test_equals_the_index_order_sum() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(27);
+        let mut pick = |m: usize| (rng.gen::<u64>() % m as u64) as usize;
+        // Answers decided by one term, by a sum at or above, and below.
+        let mut outcomes = [0usize; 3];
+        for case in 0..4000 {
+            let n = 1 + pick(40);
+            // Disjoint, nested, empty and full live ranges.
+            let mut range = || {
+                let (x, y) = (pick(n + 1), pick(n + 1));
+                match pick(4) {
+                    0 => 0..n,
+                    1 => x..x,
+                    _ => x.min(y)..x.max(y),
+                }
+            };
+            let (ra, rb) = (range(), range());
+            let mut entries = |r: &Range<usize>| {
+                r.clone()
+                    .map(|_| match pick(5) {
+                        0 => 0.0,
+                        // From normal down into subnormal magnitudes.
+                        k => (pick(1000) as f64 + 1.0) * 10f64.powi(-(pick(100 * k) as i32)),
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let (ea, mut eb) = (entries(&ra), entries(&rb));
+            // Often make b a near copy of a, so most terms are zero or tiny.
+            if ra == rb && pick(2) == 0 {
+                eb.clone_from(&ea);
+                if let Some(x) = eb.iter_mut().next() {
+                    *x = x.next_up();
+                }
+            }
+            let (a, b) = (live_iterate(n, ra.start, &ea), live_iterate(n, rb.start, &eb));
+            let hull = ra.start.min(rb.start)..ra.end.max(rb.end);
+            let terms: Vec<f64> = hull.map(|j| (a.entries()[j] - b.entries()[j]).abs()).collect();
+            let sum: f64 = terms.iter().sum();
+            let largest = terms.iter().copied().fold(0.0, f64::max);
+            let thresholds = [
+                sum,
+                sum.next_up(),
+                sum.next_down(),
+                largest,
+                largest.next_up(),
+                1e-15,
+                10f64.powi(-(pick(330) as i32)),
+            ];
+            for threshold in thresholds {
+                let (below_threshold, exact) = stop_test(&a, &b, threshold);
+                assert_eq!(exact, !terms.iter().any(|&d| d >= threshold), "case {case}");
+                outcomes[usize::from(exact) + usize::from(below_threshold)] += 1;
+            }
+        }
+        assert!(outcomes.iter().all(|&c| c > 2000), "{outcomes:?}");
+    }
+
+    #[test]
+    fn stopping_test_decides_built_cases_like_the_sum() {
+        let it = |e: &[f64]| live_iterate(e.len(), 0, e);
+        let zeros = it(&[0.0; 12]);
+        // One term exactly at the threshold decides without a sum.
+        let one = it(&[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25, 0.0, 0.0]);
+        assert_eq!(stop_test(&one, &zeros, 0.25), (false, false));
+        assert_eq!(stop_test(&one, &zeros, 0.25f64.next_up()), (true, true));
+        // Terms that only reach the threshold together: the sum decides,
+        // one ulp either side of it.
+        let spread = it(&[0.1, 0.2, 0.3, 0.0, 1e-17, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.4]);
+        let sum = 0.1 + 0.2 + 0.3 + 0.0 + 1e-17 + 0.0 + 0.0 + 0.0 + 0.0 + 0.0 + 0.0 + 0.4;
+        assert_eq!(stop_test(&spread, &zeros, sum), (false, true));
+        assert_eq!(stop_test(&spread, &zeros, sum.next_down()), (false, true));
+        assert_eq!(stop_test(&spread, &zeros, sum.next_up()), (true, true));
+        // Subnormal terms, alone and summed.
+        let tiny = f64::MIN_POSITIVE / 8.0;
+        let sub = it(&[tiny, 5e-324, 0.0, tiny]);
+        let sub_sum = tiny + 5e-324 + tiny;
+        assert_eq!(stop_test(&sub, &it(&[0.0; 4]), tiny), (false, false));
+        assert_eq!(stop_test(&sub, &it(&[0.0; 4]), sub_sum), (false, true));
+        assert_eq!(stop_test(&sub, &it(&[0.0; 4]), sub_sum.next_up()), (true, true));
+        // NaN and ±∞ entries never settle: an infinite term decides at
+        // once, and a NaN term (∞ − ∞ included) makes the sum NaN.
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        for (x, y, summed) in [
+            (nan, 0.0, true),
+            (inf, 0.0, false),
+            (-inf, 0.0, false),
+            (inf, inf, true),
+            (0.5, nan, true),
+        ] {
+            let (a, b) = (it(&[0.0, x, 1e-20]), it(&[0.0, y, 0.0]));
+            assert_eq!(stop_test(&a, &b, 1e-15), (false, summed), "{x} {y}");
+        }
+        // An empty hull sums to zero.
+        let empty = live_iterate(4, 2, &[]);
+        assert_eq!(stop_test(&empty, &empty, 1e-15), (true, true));
     }
 
     #[test]

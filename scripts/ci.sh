@@ -29,8 +29,11 @@ cargo test --workspace --offline -q
 # The benchmark is a package of its own outside the workspace; build
 # and test it here so a change to an API it calls (transient::solve,
 # absorbing::mttf, reliability_curve) fails CI, not the benchmark build.
-echo "==> cargo test perfbench"
-cargo test --offline -q --manifest-path perfbench/Cargo.toml
+# `--locked` fails a change that would rewrite perfbench/Cargo.lock (a
+# dependency added to or dropped from a crate it builds) instead of
+# letting the benchmark's build edit its pinned lock file.
+echo "==> cargo test perfbench (--locked)"
+cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml
 
 # Every bundled spec and library model must lint clean through Tier C:
 # errors and warnings block (exit 7); info-level notes (including the
