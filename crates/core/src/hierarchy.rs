@@ -172,24 +172,10 @@ impl SystemSolution {
         out
     }
 
-    /// Builds the serial RBD of the root diagram (one component per
-    /// top-level block with its combined availability) — the
-    /// "hierarchy of RBDs and Markov chains" view.
-    #[must_use]
-    pub fn root_rbd(&self) -> (ComponentTable, Rbd) {
-        let mut table = ComponentTable::new();
-        let mut children = Vec::new();
-        for b in self.blocks.iter().filter(|b| b.level == 1) {
-            let id = table.add(b.path.clone(), b.combined_availability);
-            children.push(Rbd::component(id));
-        }
-        (table, Rbd::series(children))
-    }
-
     /// The *flat* RBD over every chain in the tree (one component per
-    /// block, all in series, with the block's own chain availability).
-    /// Equivalent to [`root_rbd`](Self::root_rbd) in value but exposes
-    /// every block for importance analysis.
+    /// block, all in series, with the block's own chain availability):
+    /// the "hierarchy of RBDs and Markov chains" view with every block
+    /// exposed for importance analysis.
     #[must_use]
     pub fn flat_rbd(&self) -> (ComponentTable, Rbd) {
         let mut table = ComponentTable::new();
@@ -461,15 +447,6 @@ mod tests {
         // Flat RBD availability equals the system availability.
         let (table, rbd) = sol.flat_rbd();
         assert!((rbd.availability(&table).unwrap() - sol.system.availability).abs() < 1e-12);
-    }
-
-    #[test]
-    fn root_rbd_reproduces_availability() {
-        let spec = two_block_spec();
-        let sol = solve_spec(&spec).unwrap();
-        let (table, rbd) = sol.root_rbd();
-        let a = rbd.availability(&table).unwrap();
-        assert!((a - sol.system.availability).abs() < 1e-12);
     }
 
     #[test]

@@ -2,27 +2,7 @@
 
 use std::fmt::Write as _;
 
-use rascad_markov::Ctmc;
-
-use crate::registry::{RbdSpec, Value};
-
-/// Renders a CTMC as Graphviz DOT. Up states are ellipses, down states
-/// are boxes; edges are labelled with their rates.
-#[must_use]
-pub fn ctmc_dot(name: &str, chain: &Ctmc) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "digraph \"{}\" {{", sanitize(name));
-    let _ = writeln!(out, "    rankdir=LR;");
-    for (i, s) in chain.states().iter().enumerate() {
-        let shape = if s.reward > 0.0 { "ellipse" } else { "box" };
-        let _ = writeln!(out, "    s{i} [label=\"{}\", shape={shape}];", sanitize(&s.label));
-    }
-    for t in chain.transitions() {
-        let _ = writeln!(out, "    s{} -> s{} [label=\"{:.4e}\"];", t.from, t.to, t.rate);
-    }
-    out.push_str("}\n");
-    out
-}
+use crate::registry::{leaf_name, RbdSpec};
 
 /// Renders an RBD spec as Graphviz DOT (a tree of gates and leaves).
 #[must_use]
@@ -41,12 +21,7 @@ fn emit(out: &mut String, node: &RbdSpec, counter: &mut usize) -> usize {
     *counter += 1;
     match node {
         RbdSpec::Leaf(v) => {
-            let label = match v {
-                Value::Const(c) => format!("{c:.6}"),
-                Value::Param(p) => format!("${p}"),
-                Value::Model(m) => format!("@{m}"),
-            };
-            let _ = writeln!(out, "    n{id} [label=\"{}\", shape=box];", sanitize(&label));
+            let _ = writeln!(out, "    n{id} [label=\"{}\", shape=box];", sanitize(&leaf_name(v)));
         }
         RbdSpec::Series(ch) => {
             let _ = writeln!(out, "    n{id} [label=\"SERIES\", shape=diamond];");
@@ -81,20 +56,7 @@ fn sanitize(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rascad_markov::CtmcBuilder;
-
-    #[test]
-    fn ctmc_dot_shapes_by_reward() {
-        let mut b = CtmcBuilder::new();
-        let up = b.add_state("up", 1.0);
-        let down = b.add_state("down", 0.0);
-        b.add_transition(up, down, 0.5);
-        b.add_transition(down, up, 2.0);
-        let dot = ctmc_dot("two", &b.build().unwrap());
-        assert!(dot.contains("shape=ellipse"));
-        assert!(dot.contains("shape=box"));
-        assert_eq!(dot.matches(" -> ").count(), 2);
-    }
+    use crate::registry::Value;
 
     #[test]
     fn rbd_dot_renders_all_node_kinds() {

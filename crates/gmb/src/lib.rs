@@ -11,11 +11,13 @@
 //!   may be a constant, a named parameter, or *the solved availability
 //!   of another model* — the hierarchy. Markov transition rates may also
 //!   be named parameters, enabling parametric analysis without
-//!   rebuilding models.
+//!   rebuilding models. RBDs are lowered onto [`rascad_rbd::Rbd`], one
+//!   component per leaf, and evaluated by
+//!   [`Rbd::availability`](rascad_rbd::Rbd::availability): a submodel
+//!   named by two leaves is two independent instances.
 //! * [`parametric`] — sweep any named parameter and collect measure
 //!   curves.
-//! * [`dot`] — Graphviz export of Markov chains and RBD trees ("graphical
-//!   output").
+//! * [`dot`] — Graphviz export of RBD trees ("graphical output").
 //! * [`report`] — text documentation generation.
 //!
 //! # Example: hierarchical RBD over a Markov leaf

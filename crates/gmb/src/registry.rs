@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use rascad_markov::{CtmcBuilder, SemiMarkovBuilder, SojournDistribution, SteadyStateMethod};
-use rascad_rbd::block::k_of_n_probability;
+use rascad_rbd::{ComponentTable, Rbd};
 
 use crate::error::GmbError;
 
@@ -118,6 +118,11 @@ impl SemiMarkovSpec {
 
 /// A GMB RBD: like [`rascad_rbd::Rbd`] but with [`Value`] leaves, so a
 /// block can be a constant, a parameter, or another model.
+///
+/// Every leaf is its own component: a submodel named by two leaves is
+/// two independent instances of that model (two servers built alike),
+/// never one shared unit. A parallel pair of `Value::model("server")`
+/// leaves has availability `1 − (1 − a)²`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RbdSpec {
     /// A basic block with a resolvable availability.
@@ -157,19 +162,6 @@ impl RbdSpec {
     #[must_use]
     pub fn k_of_n(k: u32, children: Vec<RbdSpec>) -> RbdSpec {
         RbdSpec::KOfN { k, children }
-    }
-
-    fn referenced_models(&self, out: &mut Vec<String>) {
-        match self {
-            RbdSpec::Leaf(Value::Model(m)) => out.push(m.clone()),
-            RbdSpec::Leaf(_) => {}
-            RbdSpec::Series(ch) | RbdSpec::Parallel(ch) => {
-                ch.iter().for_each(|c| c.referenced_models(out));
-            }
-            RbdSpec::KOfN { children, .. } => {
-                children.iter().for_each(|c| c.referenced_models(out));
-            }
-        }
     }
 }
 
@@ -369,6 +361,11 @@ impl ModelRegistry {
         smp.availability().map_err(|source| GmbError::Markov { model: name.to_string(), source })
     }
 
+    /// Lowers `spec` onto [`Rbd`] with one component per leaf, each
+    /// leaf's [`Value`] resolved first, and evaluates it with
+    /// [`Rbd::availability`]. No component repeats, so the evaluation
+    /// is the plain series/parallel/k-of-n arithmetic over independent
+    /// leaves.
     fn solve_rbd(
         &self,
         name: &str,
@@ -376,137 +373,40 @@ impl ModelRegistry {
         stack: &mut HashSet<String>,
         cache: &mut HashMap<String, f64>,
     ) -> Result<f64, GmbError> {
-        match spec {
+        let mut table = ComponentTable::new();
+        let rbd = self.lower(spec, &mut table, stack, cache)?;
+        rbd.availability(&table).map_err(|source| GmbError::Rbd { model: name.to_string(), source })
+    }
+
+    fn lower(
+        &self,
+        spec: &RbdSpec,
+        table: &mut ComponentTable,
+        stack: &mut HashSet<String>,
+        cache: &mut HashMap<String, f64>,
+    ) -> Result<Rbd, GmbError> {
+        let mut lower_all = |children: &[RbdSpec]| -> Result<Vec<Rbd>, GmbError> {
+            children.iter().map(|c| self.lower(c, table, stack, cache)).collect()
+        };
+        Ok(match spec {
             RbdSpec::Leaf(v) => {
                 let a = self.resolve(v, stack, cache)?;
-                if !(0.0..=1.0).contains(&a) || !a.is_finite() {
-                    return Err(GmbError::Rbd {
-                        model: name.to_string(),
-                        source: rascad_rbd::RbdError::InvalidProbability {
-                            what: format!("leaf availability {a}"),
-                        },
-                    });
-                }
-                Ok(a)
+                Rbd::component(table.add(leaf_name(v), a))
             }
-            RbdSpec::Series(ch) => {
-                if ch.is_empty() {
-                    return Err(GmbError::Rbd {
-                        model: name.to_string(),
-                        source: rascad_rbd::RbdError::EmptyGate,
-                    });
-                }
-                let mut a = 1.0;
-                for c in ch {
-                    a *= self.solve_rbd(name, c, stack, cache)?;
-                }
-                Ok(a)
-            }
-            RbdSpec::Parallel(ch) => {
-                if ch.is_empty() {
-                    return Err(GmbError::Rbd {
-                        model: name.to_string(),
-                        source: rascad_rbd::RbdError::EmptyGate,
-                    });
-                }
-                let mut u = 1.0;
-                for c in ch {
-                    u *= 1.0 - self.solve_rbd(name, c, stack, cache)?;
-                }
-                Ok(1.0 - u)
-            }
-            RbdSpec::KOfN { k, children } => {
-                if children.is_empty() || *k == 0 || *k as usize > children.len() {
-                    return Err(GmbError::Rbd {
-                        model: name.to_string(),
-                        source: rascad_rbd::RbdError::InvalidKofN { k: *k, n: children.len() },
-                    });
-                }
-                let probs = children
-                    .iter()
-                    .map(|c| self.solve_rbd(name, c, stack, cache))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(k_of_n_probability(*k as usize, &probs))
-            }
-        }
+            RbdSpec::Series(ch) => Rbd::series(lower_all(ch)?),
+            RbdSpec::Parallel(ch) => Rbd::parallel(lower_all(ch)?),
+            RbdSpec::KOfN { k, children } => Rbd::k_of_n(*k, lower_all(children)?),
+        })
     }
+}
 
-    /// Builds the CTMC of a registered *Markov* model with every rate
-    /// resolved, for use with the full `rascad-markov` analysis surface
-    /// (transient solves, MTTF, failure modes, sensitivities).
-    ///
-    /// # Errors
-    ///
-    /// * [`GmbError::UnknownModel`] if `name` is not registered or not a
-    ///   Markov model.
-    /// * Resolution/build errors as in [`availability`](Self::availability).
-    pub fn build_markov(&self, name: &str) -> Result<rascad_markov::Ctmc, GmbError> {
-        let Some(Model::Markov(spec)) = self.models.get(name) else {
-            return Err(GmbError::UnknownModel { name: format!("{name} (as a Markov model)") });
-        };
-        let mut stack = HashSet::new();
-        let mut cache = HashMap::new();
-        let mut b = CtmcBuilder::new();
-        for (label, reward) in &spec.states {
-            b.add_state(label.clone(), *reward);
-        }
-        for (from, to, rate) in &spec.transitions {
-            let r = self.resolve(rate, &mut stack, &mut cache)?;
-            b.add_transition(*from, *to, r);
-        }
-        b.build().map_err(|source| GmbError::Markov { model: name.to_string(), source })
-    }
-
-    /// Interval availability of a registered Markov model over
-    /// `(0, horizon)`, starting from its first state.
-    ///
-    /// # Errors
-    ///
-    /// As for [`build_markov`](Self::build_markov), plus transient
-    /// solver errors.
-    pub fn interval_availability(&self, name: &str, horizon: f64) -> Result<f64, GmbError> {
-        let chain = self.build_markov(name)?;
-        let mut p0 = vec![0.0; chain.len()];
-        p0[0] = 1.0;
-        let sol = rascad_markov::transient::solve(
-            &chain,
-            &p0,
-            horizon,
-            rascad_markov::TransientOptions::default(),
-        )
-        .map_err(|source| GmbError::Markov { model: name.to_string(), source })?;
-        Ok(sol.interval_reward)
-    }
-
-    /// MTTF of a registered Markov model from its first state.
-    ///
-    /// # Errors
-    ///
-    /// As for [`build_markov`](Self::build_markov), plus absorbing-chain
-    /// analysis errors.
-    pub fn mttf(&self, name: &str) -> Result<f64, GmbError> {
-        let chain = self.build_markov(name)?;
-        let analysis = rascad_markov::absorbing::mttf(&chain, 0)
-            .map_err(|source| GmbError::Markov { model: name.to_string(), source })?;
-        Ok(analysis.mttf)
-    }
-
-    /// Models (transitively) referenced by `name`, in no particular
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GmbError::UnknownModel`] if `name` is not registered.
-    pub fn dependencies(&self, name: &str) -> Result<Vec<String>, GmbError> {
-        let model = self
-            .models
-            .get(name)
-            .ok_or_else(|| GmbError::UnknownModel { name: name.to_string() })?;
-        let mut out = Vec::new();
-        if let Model::Rbd(spec) = model {
-            spec.referenced_models(&mut out);
-        }
-        Ok(out)
+/// The name of a leaf: its constant, `$parameter` or `@model` (the
+/// component name in evaluation errors and the DOT export's label).
+pub(crate) fn leaf_name(v: &Value) -> String {
+    match v {
+        Value::Const(c) => format!("{c:.6}"),
+        Value::Param(p) => format!("${p}"),
+        Value::Model(m) => format!("@{m}"),
     }
 }
 
@@ -514,6 +414,7 @@ impl ModelRegistry {
 #[allow(clippy::float_cmp)] // exact equality asserts deterministic arithmetic
 mod tests {
     use super::*;
+    use rascad_rbd::block::k_of_n_probability;
 
     fn two_state_markov(lam: Value, mu: Value) -> MarkovSpec {
         let mut m = MarkovSpec::new();
@@ -579,7 +480,6 @@ mod tests {
         let a_array = k_of_n_probability(2, &[a_disk, a_disk, a_disk]);
         let expect = a_array * 0.9999;
         assert!((reg.availability("site").unwrap() - expect).abs() < 1e-12);
-        assert_eq!(reg.dependencies("site").unwrap(), vec!["array".to_string()]);
     }
 
     #[test]
@@ -625,23 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_leaf_availability_rejected() {
-        let mut reg = ModelRegistry::new();
-        reg.add_rbd("a", RbdSpec::leaf(Value::constant(1.5))).unwrap();
-        assert!(matches!(reg.availability("a").unwrap_err(), GmbError::Rbd { .. }));
-    }
-
-    #[test]
-    fn empty_gates_rejected() {
-        let mut reg = ModelRegistry::new();
-        reg.add_rbd("a", RbdSpec::series(vec![])).unwrap();
-        assert!(matches!(reg.availability("a").unwrap_err(), GmbError::Rbd { .. }));
-        let mut reg2 = ModelRegistry::new();
-        reg2.add_rbd("b", RbdSpec::k_of_n(3, vec![RbdSpec::leaf(Value::constant(0.9))])).unwrap();
-        assert!(matches!(reg2.availability("b").unwrap_err(), GmbError::Rbd { .. }));
-    }
-
-    #[test]
     fn caching_gives_consistent_results() {
         // The same model referenced twice resolves to the same value.
         let mut reg = ModelRegistry::new();
@@ -658,32 +541,6 @@ mod tests {
         let a_m = reg.availability("m").unwrap();
         let a_top = reg.availability("top").unwrap();
         assert!((a_top - a_m * a_m).abs() < 1e-12);
-    }
-
-    #[test]
-    fn build_markov_exposes_the_chain() {
-        let mut reg = ModelRegistry::new();
-        reg.set_parameter("lambda", 0.01);
-        reg.add_markov("m", two_state_markov(Value::param("lambda"), 1.0.into())).unwrap();
-        let chain = reg.build_markov("m").unwrap();
-        assert_eq!(chain.len(), 2);
-        assert_eq!(chain.transitions()[0].rate, 0.01);
-        // RBD models are not chains.
-        reg.add_rbd("r", RbdSpec::leaf(Value::constant(0.9))).unwrap();
-        assert!(reg.build_markov("r").is_err());
-        assert!(reg.build_markov("ghost").is_err());
-    }
-
-    #[test]
-    fn interval_availability_and_mttf() {
-        let mut reg = ModelRegistry::new();
-        reg.add_markov("m", two_state_markov(0.001.into(), 0.5.into())).unwrap();
-        let ss = reg.availability("m").unwrap();
-        let iv = reg.interval_availability("m", 10_000.0).unwrap();
-        assert!(iv >= ss && iv <= 1.0);
-        // Single exponential failure mode: MTTF = 1/lambda.
-        let mttf = reg.mttf("m").unwrap();
-        assert!((mttf - 1000.0).abs() < 1e-6);
     }
 
     #[test]

@@ -552,7 +552,7 @@ mod tests {
         for (a, c) in direct.iter().zip(&via_factors) {
             assert!((a - c).abs() < 1e-12, "{a} vs {c}");
         }
-        // Aᵀ·x = b through the same factors equals factoring Aᵀ.
+        // Aᵀ·x = b through the same factors equals an LU of Aᵀ itself.
         let xt = f.solve_transpose(&b);
         let direct_t = m.transpose().solve(&b).unwrap();
         for (a, c) in direct_t.iter().zip(&xt) {

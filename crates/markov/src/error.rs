@@ -3,8 +3,8 @@
 use std::fmt;
 
 /// Most `f64` entries one elimination may allocate: the band GTH
-/// kernel (stationary and absorbing: MTTF, failure modes, DTMC
-/// absorption) and dense LU check it before allocating. Every chain of
+/// kernel (stationary and absorbing: MTTF and failure modes) and
+/// dense LU check it before allocating. Every chain of
 /// up to 2,048 states fits at any bandwidth (2,048 rows of 4,095 band
 /// columns, 64 MiB); larger chains fit while their band is narrow
 /// enough.

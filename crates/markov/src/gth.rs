@@ -61,8 +61,7 @@ pub fn stationary_gth_with(chain: &Ctmc, options: &SolveOptions) -> Result<Vec<f
 
 /// Stationary vector of a stochastic matrix `p` by GTH on `P − I`,
 /// whose off-diagonal entries are those of `P` (the diagonal is never
-/// read). Shared by [`crate::Dtmc`] and the embedded chain of
-/// [`crate::SemiMarkov`].
+/// read). Solves the embedded chain of [`crate::SemiMarkov`].
 pub(crate) fn stationary_gth_stochastic(p: &DenseMatrix) -> Result<Vec<f64>, MarkovError> {
     let n = p.rows();
     let mut trips = Vec::new();
@@ -268,8 +267,8 @@ fn eliminate(
 /// GTH elimination on a generator matrix (off-diagonals non-negative;
 /// the diagonal is ignored), limited to the matrix's band and bounded
 /// by the wall-clock budget and cancellation token in `options`,
-/// checked every [`GTH_CLOCK_STRIDE`] pivots. `dtmc` and `semi` run it
-/// on `P − I`.
+/// checked every [`GTH_CLOCK_STRIDE`] pivots. `semi` runs it on
+/// `P − I`.
 ///
 /// # Errors
 ///

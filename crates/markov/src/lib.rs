@@ -24,11 +24,11 @@
 //!   time-dependent expected reward.
 //! * Absorbing-chain analysis: [`absorbing`] computes MTTF, reliability
 //!   at a mission time, interval failure rate, and hazard rate — the
-//!   reliability measures RAScad reports. MTTF, failure modes and the
-//!   [`Dtmc`] absorption measures run on the same band GTH elimination
-//!   as the steady state ([`gth`]), with absorption as extra columns:
-//!   no subtraction, `O(n)` on a k-out-of-n pool, and an MTTF beyond
-//!   `f64::MAX` comes back as `f64::INFINITY`.
+//!   reliability measures RAScad reports. MTTF and failure modes run on
+//!   the same band GTH elimination as the steady state ([`gth`]), with
+//!   absorption as extra columns: no subtraction, `O(n)` on a
+//!   k-out-of-n pool, and an MTTF beyond `f64::MAX` comes back as
+//!   `f64::INFINITY`.
 //! * Semi-Markov processes: [`semi`] solves steady-state measures of a
 //!   semi-Markov chain through its embedded DTMC and mean sojourn times,
 //!   which is how the paper's GMB module supports semi-Markov models.
@@ -63,7 +63,6 @@
 pub mod absorbing;
 pub mod ctmc;
 pub mod dense;
-pub mod dtmc;
 pub mod error;
 pub mod fingerprint;
 pub mod gth;
@@ -74,7 +73,6 @@ pub mod transient;
 
 pub use absorbing::{AbsorbingAnalysis, ReliabilityCurve};
 pub use ctmc::{CancelToken, Ctmc, CtmcBuilder, SolveOptions, StateId, SteadyStateMethod};
-pub use dtmc::{Dtmc, DtmcBuilder};
 pub use error::{MarkovError, MAX_ELIMINATION_ENTRIES};
 pub use fingerprint::{Fingerprint, StableHasher};
 pub use lump::{

@@ -141,87 +141,97 @@ fn uniformized_rows_sum_to_one() {
     }
 }
 
-/// DTMC stationary vectors are distributions satisfying pi P = pi.
+/// The embedded jump chain's stationary vector (GTH on `P − I`) is a
+/// distribution satisfying `ν P = ν`.
 #[test]
-fn dtmc_stationary_is_fixed_point() {
-    use rascad_markov::DtmcBuilder;
+fn embedded_stationary_is_fixed_point() {
+    use rascad_markov::{SemiMarkovBuilder, SojournDistribution};
     for seed in 0..FEW_CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut b = DtmcBuilder::new();
+        let mut b = SemiMarkovBuilder::new();
         for i in 0..3 {
-            b.add_state(format!("s{i}"));
+            b.add_state(format!("s{i}"), 1.0, SojournDistribution::Exponential { rate: 1.0 });
         }
-        for i in 0..3 {
-            let row: Vec<f64> = (0..3).map(|_| uniform(&mut rng, 0.05, 1.0)).collect();
+        let mut p = [[0.0; 3]; 3];
+        for (i, row) in p.iter_mut().enumerate() {
+            for w in row.iter_mut() {
+                *w = uniform(&mut rng, 0.05, 1.0);
+            }
             let z: f64 = row.iter().sum();
-            for (j, &w) in row.iter().enumerate() {
-                b.add_transition(i, j, w / z);
+            for (j, w) in row.iter_mut().enumerate() {
+                *w /= z;
+                b.add_jump(i, j, *w);
             }
         }
-        let c = b.build().unwrap();
-        let pi = c.stationary().unwrap();
-        let sum: f64 = pi.iter().sum();
+        let nu = b.build().unwrap().embedded_stationary().unwrap();
+        let sum: f64 = nu.iter().sum();
         assert!((sum - 1.0).abs() < 1e-10, "seed {seed}: sum {sum}");
-        // pi P = pi.
         for j in 0..3 {
-            let flow: f64 = (0..3).map(|i| pi[i] * c.probability(i, j)).sum();
-            assert!((flow - pi[j]).abs() < 1e-9, "seed {seed}: {flow} vs {}", pi[j]);
+            let flow: f64 = (0..3).map(|i| nu[i] * p[i][j]).sum();
+            assert!((flow - nu[j]).abs() < 1e-9, "seed {seed}: {flow} vs {}", nu[j]);
         }
     }
 }
 
-/// Absorbing DTMCs: the band elimination's expected steps and
-/// absorption probabilities match dense LU on `I − T`, self-loops
-/// included.
+/// Absorbing CTMCs: the band elimination's MTTF and failure modes
+/// match dense LU on `−Q_UU`, from every up state.
 #[test]
-fn dtmc_absorption_matches_dense_lu() {
+fn absorption_matches_dense_lu() {
+    use rascad_markov::absorbing;
     use rascad_markov::dense::DenseMatrix;
-    use rascad_markov::DtmcBuilder;
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        let nt = 1 + (rng.gen::<u64>() % 8) as usize;
-        let na = 1 + (rng.gen::<u64>() % 3) as usize;
-        let n = nt + na;
-        let mut b = DtmcBuilder::new();
+        let nu = 1 + (rng.gen::<u64>() % 8) as usize;
+        let nd = 1 + (rng.gen::<u64>() % 3) as usize;
+        let n = nu + nd;
+        let mut b = CtmcBuilder::new();
         for i in 0..n {
-            b.add_state(format!("s{i}"));
+            b.add_state(format!("s{i}"), if i < nu { 1.0 } else { 0.0 });
         }
-        // Transient states 0..nt: each steps to the next (the last to an
-        // absorbing state), so all are transient, plus a self-loop and
-        // random extra edges.
-        let mut rows = vec![vec![0.0; n]; nt];
-        for (i, row) in rows.iter_mut().enumerate() {
-            row[i + 1] = uniform(&mut rng, 0.05, 1.0);
-            row[i] = if rng.gen_bool(0.7) { uniform(&mut rng, 0.0, 2.0) } else { 0.0 };
+        // Up states 0..nu: each steps to the next (the last to a down
+        // state), so every one reaches absorption, plus random extra
+        // edges; down states get repairs the analysis must ignore.
+        let mut rates = vec![vec![0.0; n]; n];
+        for i in 0..n {
+            if i < nu {
+                rates[i][i + 1] = uniform(&mut rng, 0.05, 1.0);
+            }
             for _ in 0..rng.gen::<u64>() % 4 {
-                row[(rng.gen::<u64>() % n as u64) as usize] += uniform(&mut rng, 0.0, 1.0);
-            }
-            let z: f64 = row.iter().sum();
-            for (j, w) in row.iter().enumerate().filter(|&(_, &w)| w > 0.0) {
-                b.add_transition(i, j, w / z);
-            }
-        }
-        let c = b.build().unwrap();
-        let absorbing = c.absorbing_states();
-        assert_eq!(absorbing, (nt..n).collect::<Vec<_>>(), "seed {seed}");
-        let mut a = DenseMatrix::zeros(nt, nt);
-        for i in 0..nt {
-            for j in 0..nt {
-                a[(i, j)] = f64::from(u8::from(i == j)) - c.probability(i, j);
+                let j = (rng.gen::<u64>() % n as u64) as usize;
+                if j != i {
+                    rates[i][j] += uniform(&mut rng, 0.0, 1.0);
+                }
             }
         }
-        let want = a.solve(&vec![1.0; nt]).unwrap();
-        for (state, m) in c.expected_steps_to_absorption().unwrap() {
-            let rel = (m - want[state]).abs() / want[state];
-            assert!(rel < 1e-10, "seed {seed}: state {state} {m} vs {}", want[state]);
+        for (i, row) in rates.iter().enumerate() {
+            for (j, &r) in row.iter().enumerate().filter(|&(_, &r)| r > 0.0) {
+                b.add_transition(i, j, r);
+            }
         }
-        let start = (rng.gen::<u64>() % nt as u64) as usize;
-        let probs = c.absorption_probabilities(start).unwrap();
-        assert_eq!(probs.iter().map(|p| p.0).collect::<Vec<_>>(), absorbing, "seed {seed}");
-        for (d, p) in probs {
-            let rhs: Vec<f64> = (0..nt).map(|i| c.probability(i, d)).collect();
-            let want = a.solve(&rhs).unwrap()[start];
-            assert!((p - want).abs() < 1e-12, "seed {seed}: {start} -> {d}: {p} vs {want}");
+        let chain = b.build().unwrap();
+        let mut a = DenseMatrix::zeros(nu, nu);
+        for i in 0..nu {
+            a[(i, i)] = rates[i].iter().sum::<f64>();
+            for j in 0..nu {
+                a[(i, j)] -= rates[i][j];
+            }
+        }
+        let times = a.solve(&vec![1.0; nu]).unwrap();
+        let hits: Vec<Vec<f64>> = (nu..n)
+            .map(|d| a.solve(&(0..nu).map(|i| rates[i][d]).collect::<Vec<_>>()).unwrap())
+            .collect();
+        for start in 0..nu {
+            let m = absorbing::mttf(&chain, start).unwrap().mttf;
+            let rel = (m - times[start]).abs() / times[start];
+            assert!(rel < 1e-10, "seed {seed}: state {start} {m} vs {}", times[start]);
+            let modes = absorbing::failure_modes(&chain, start).unwrap();
+            let mut states: Vec<_> = modes.iter().map(|p| p.0).collect();
+            states.sort_unstable();
+            assert_eq!(states, (nu..n).collect::<Vec<_>>(), "seed {seed}");
+            for (d, p) in modes {
+                let want = hits[d - nu][start];
+                assert!((p - want).abs() < 1e-12, "seed {seed}: {start} -> {d}: {p} vs {want}");
+            }
         }
     }
 }

@@ -136,13 +136,6 @@ impl Rbd {
         Rbd::KOfN { k, children }
     }
 
-    /// An n-plicated k-of-n over one component (the common homogeneous
-    /// redundancy case: `n` copies, `k` required).
-    #[must_use]
-    pub fn k_of_n_identical(k: u32, n: u32, id: ComponentId) -> Rbd {
-        Rbd::KOfN { k, children: (0..n).map(|_| Rbd::Component(id)).collect() }
-    }
-
     /// Validates the tree against a component table.
     ///
     /// # Errors
@@ -246,20 +239,6 @@ impl Rbd {
         Ok(self.shannon_eval(&mut avail, &repeated))
     }
 
-    /// Availability assuming every leaf is independent even if ids
-    /// repeat (the fast path used when repetition is known to model
-    /// physically distinct units of the same type).
-    ///
-    /// # Errors
-    ///
-    /// Validation errors as in [`availability`](Self::availability).
-    pub fn availability_independent(&self, table: &ComponentTable) -> Result<f64, RbdError> {
-        self.validate(table)?;
-        table.validate()?;
-        rascad_obs::counter("rbd.evaluations", 1);
-        Ok(self.eval(table.availabilities()))
-    }
-
     fn shannon_eval(&self, avail: &mut [f64], repeated: &[ComponentId]) -> f64 {
         match repeated.split_first() {
             None => self.eval(avail),
@@ -353,28 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn k_of_n_identical_matches_binomial() {
-        let mut t = ComponentTable::new();
-        let c = t.add("disk", 0.95);
-        let r = Rbd::k_of_n_identical(3, 5, c);
-        // Repeated ids are *independent units of the same type* only via
-        // availability_independent; binomial closed form.
-        let p: f64 = 0.95;
-        let q = 1.0 - p;
-        let expect: f64 = (3..=5)
-            .map(|k| {
-                let comb = match k {
-                    3 => 10.0,
-                    4 => 5.0,
-                    _ => 1.0,
-                };
-                comb * p.powi(k) * q.powi(5 - k)
-            })
-            .sum();
-        assert!((r.availability_independent(&t).unwrap() - expect).abs() < 1e-12);
-    }
-
-    #[test]
     fn shared_component_is_not_double_counted() {
         // Parallel of (a series x) and (a series y): exact availability
         // pivots on the shared a.
@@ -391,7 +348,7 @@ mod tests {
         assert!((exact - 0.846).abs() < 1e-15);
         // Naive independent evaluation would give a different (wrong)
         // number: 1 - (1-0.72)(1-0.63) = 0.8964.
-        let naive = r.availability_independent(&t).unwrap();
+        let naive = r.eval(t.availabilities());
         assert!((naive - 0.8964).abs() < 1e-15);
         assert!(exact < naive);
     }

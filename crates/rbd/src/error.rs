@@ -27,11 +27,6 @@ pub enum RbdError {
     },
     /// A series/parallel/k-of-n node has no children.
     EmptyGate,
-    /// A network is malformed (bad endpoints, missing source/sink path).
-    InvalidNetwork {
-        /// Description of the problem.
-        what: String,
-    },
     /// Too many distinct repeated components for exact Shannon
     /// decomposition.
     TooManyRepeated {
@@ -51,7 +46,6 @@ impl fmt::Display for RbdError {
             RbdError::InvalidProbability { what } => write!(f, "invalid probability: {what}"),
             RbdError::InvalidKofN { k, n } => write!(f, "invalid k-of-n: k={k}, n={n}"),
             RbdError::EmptyGate => write!(f, "gate has no children"),
-            RbdError::InvalidNetwork { what } => write!(f, "invalid network: {what}"),
             RbdError::TooManyRepeated { count, max } => {
                 write!(f, "{count} repeated components exceed the exact-evaluation limit {max}")
             }
@@ -72,7 +66,6 @@ mod tests {
             RbdError::InvalidProbability { what: "x".into() },
             RbdError::InvalidKofN { k: 3, n: 2 },
             RbdError::EmptyGate,
-            RbdError::InvalidNetwork { what: "y".into() },
             RbdError::TooManyRepeated { count: 40, max: 24 },
         ];
         for c in cases {

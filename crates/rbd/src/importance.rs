@@ -35,41 +35,6 @@ pub struct ImportanceReport {
     pub components: Vec<ComponentImportance>,
 }
 
-/// Fussell–Vesely importance: the probability that at least one minimal
-/// cut set *containing component `i`* is failed, given the system is
-/// failed — the classic "share of system failure this component
-/// participates in". Computed from minimal cut sets with the
-/// rare-event (inclusion-exclusion first-order) approximation
-/// `P(∪ cuts_i) ≈ Σ P(cut)`, capped at 1.
-///
-/// # Errors
-///
-/// Propagates evaluation errors from [`Rbd::availability`].
-pub fn fussell_vesely(
-    rbd: &Rbd,
-    table: &ComponentTable,
-) -> Result<Vec<(ComponentId, f64)>, RbdError> {
-    let system_unavailability = 1.0 - rbd.availability(table)?;
-    let cuts = crate::paths::minimal_cut_sets(rbd);
-    let avail = table.availabilities();
-    let mut out = Vec::new();
-    for id in rbd.components() {
-        let share: f64 = cuts
-            .iter()
-            .filter(|c| c.contains(&id))
-            .map(|c| c.iter().map(|&j| 1.0 - avail[j]).product::<f64>())
-            .sum();
-        let fv = if system_unavailability > 0.0 {
-            (share / system_unavailability).min(1.0)
-        } else {
-            0.0
-        };
-        out.push((id, fv));
-    }
-    out.sort_by(|a, b| b.1.total_cmp(&a.1));
-    Ok(out)
-}
-
 /// Computes the importance report for a diagram.
 ///
 /// # Errors
@@ -152,42 +117,6 @@ mod tests {
         let a = t.add("a", 1.0);
         let rep = importance(&Rbd::component(a), &t).unwrap();
         assert_eq!(rep.components[0].criticality, 0.0);
-    }
-
-    #[test]
-    fn fussell_vesely_series_component_dominates() {
-        // a in series with (b parallel c): a appears in the singleton
-        // cut {a}, which dominates when b,c are redundant.
-        let mut t = ComponentTable::new();
-        let a = t.add("a", 0.99);
-        let b = t.add("b", 0.99);
-        let c = t.add("c", 0.99);
-        let r = Rbd::series(vec![
-            Rbd::component(a),
-            Rbd::parallel(vec![Rbd::component(b), Rbd::component(c)]),
-        ]);
-        let fv = fussell_vesely(&r, &t).unwrap();
-        assert_eq!(fv[0].0, a);
-        assert!(fv[0].1 > 0.9, "{}", fv[0].1);
-        // b and c only appear in the two-component cut.
-        let fb = fv.iter().find(|&&(id, _)| id == b).unwrap().1;
-        assert!(fb < 0.05, "{fb}");
-    }
-
-    #[test]
-    fn fussell_vesely_single_component_is_one() {
-        let mut t = ComponentTable::new();
-        let a = t.add("a", 0.9);
-        let fv = fussell_vesely(&Rbd::component(a), &t).unwrap();
-        assert!((fv[0].1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fussell_vesely_perfect_system_is_zero() {
-        let mut t = ComponentTable::new();
-        let a = t.add("a", 1.0);
-        let fv = fussell_vesely(&Rbd::component(a), &t).unwrap();
-        assert_eq!(fv[0].1, 0.0);
     }
 
     #[test]

@@ -7,23 +7,20 @@
 //! * [`Rbd`] — a combinatorial block-diagram tree (series, parallel,
 //!   k-of-n, components), with exact availability evaluation that remains
 //!   correct when the same component appears in several places (Shannon
-//!   decomposition on repeated components).
-//! * [`structure`] — the boolean structure function and monotonicity
-//!   checks.
-//! * [`paths`] — minimal path sets and minimal cut sets by explicit
-//!   enumeration.
+//!   decomposition on repeated components). [`Rbd::availability`] is the
+//!   workspace's one production availability evaluator for RBDs: block
+//!   importance over a solved hierarchy and the GMB workbench's RBD
+//!   models both evaluate through it.
 //! * [`bdd`] — hand-rolled reduced-ordered BDDs for symbolic
 //!   structure-function analysis: minimal cut sets via Rauzy's
 //!   minimal-solutions algorithm, cut counting, Birnbaum structural
 //!   importance, and variable-symmetry checks, polynomial where
-//!   enumeration explodes.
-//! * [`factoring`] — two-terminal network reliability via the factoring
-//!   (pivotal decomposition) algorithm with series-parallel reductions,
-//!   handling non-series-parallel topologies such as the bridge.
+//!   enumeration explodes. This is Tier C lint's structure compiler, not
+//!   an availability evaluator.
 //! * [`importance`] — Birnbaum, criticality, and improvement-potential
-//!   importance measures.
-//! * [`time_dep`] — time-dependent (mission) reliability with
-//!   exponential and Weibull component lifetimes.
+//!   importance measures (`rascad importance`).
+//! * [`paths`] — minimal cut sets by explicit enumeration, kept as the
+//!   test oracle the BDD's cut sets are checked against.
 //!
 //! # Example
 //!
@@ -49,14 +46,9 @@
 pub mod bdd;
 pub mod block;
 pub mod error;
-pub mod factoring;
 pub mod importance;
 pub mod paths;
-pub mod structure;
-pub mod time_dep;
 
 pub use block::{ComponentId, ComponentTable, Rbd};
 pub use error::RbdError;
-pub use factoring::Network;
 pub use importance::ImportanceReport;
-pub use time_dep::{Lifetime, MissionProfile};

@@ -1,9 +1,10 @@
-//! Minimal path sets and minimal cut sets of RBD trees.
+//! Minimal cut sets of RBD trees by explicit enumeration.
 //!
-//! A *path set* is a set of components whose joint functioning makes the
-//! system function; a *cut set* is a set whose joint failure fails the
-//! system. Minimal sets carry the qualitative structure of the diagram
-//! and feed bounds and importance analysis.
+//! A *cut set* is a set of components whose joint failure fails the
+//! system. Enumeration is exponential in the worst case, so nothing in
+//! production calls it: it is the test oracle that the BDD's
+//! minimal-solutions cut sets ([`crate::bdd`]) and Tier C lint's cut
+//! findings are compared against.
 
 use std::collections::BTreeSet;
 
@@ -12,36 +13,10 @@ use crate::block::{ComponentId, Rbd};
 /// A set of component ids (sorted, deduplicated).
 pub type ComponentSet = BTreeSet<ComponentId>;
 
-/// Computes the minimal path sets of the tree.
-///
-/// Complexity is exponential in the worst case; intended for the small
-/// diagrams MG generates per level.
-#[must_use]
-pub fn minimal_path_sets(rbd: &Rbd) -> Vec<ComponentSet> {
-    minimize(path_sets(rbd))
-}
-
 /// Computes the minimal cut sets of the tree.
 #[must_use]
 pub fn minimal_cut_sets(rbd: &Rbd) -> Vec<ComponentSet> {
     minimize(cut_sets(rbd))
-}
-
-fn path_sets(rbd: &Rbd) -> Vec<ComponentSet> {
-    match rbd {
-        Rbd::Component(id) => vec![std::iter::once(*id).collect()],
-        Rbd::Series(ch) => cross_union(ch.iter().map(path_sets)),
-        Rbd::Parallel(ch) => ch.iter().flat_map(path_sets).collect(),
-        Rbd::KOfN { k, children } => {
-            let per_child: Vec<Vec<ComponentSet>> = children.iter().map(path_sets).collect();
-            let mut out = Vec::new();
-            for subset in k_subsets(children.len(), *k as usize) {
-                let chosen = subset.iter().map(|&i| per_child[i].clone());
-                out.extend(cross_union(chosen));
-            }
-            out
-        }
-    }
 }
 
 fn cut_sets(rbd: &Rbd) -> Vec<ComponentSet> {
@@ -112,61 +87,36 @@ fn minimize(mut sets: Vec<ComponentSet>) -> Vec<ComponentSet> {
     out
 }
 
-/// Lower/upper availability bounds from minimal cut/path sets
-/// (Esary–Proschan). Exact for trees without repeated components when
-/// the system is series-parallel; otherwise bounds.
-#[must_use]
-pub fn esary_proschan_bounds(
-    paths: &[ComponentSet],
-    cuts: &[ComponentSet],
-    avail: &[f64],
-) -> (f64, f64) {
-    // Lower bound: product over cuts of P(cut not all failed).
-    let lower: f64 =
-        cuts.iter().map(|c| 1.0 - c.iter().map(|&i| 1.0 - avail[i]).product::<f64>()).product();
-    // Upper bound: 1 - product over paths of P(path not all working).
-    let upper: f64 = 1.0
-        - paths.iter().map(|p| 1.0 - p.iter().map(|&i| avail[i]).product::<f64>()).product::<f64>();
-    (lower, upper)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::ComponentTable;
 
     fn set(ids: &[usize]) -> ComponentSet {
         ids.iter().copied().collect()
     }
 
     #[test]
-    fn series_paths_and_cuts() {
+    fn series_cuts() {
         let r = Rbd::series(vec![Rbd::component(0), Rbd::component(1)]);
-        assert_eq!(minimal_path_sets(&r), vec![set(&[0, 1])]);
         let cuts = minimal_cut_sets(&r);
         assert!(cuts.contains(&set(&[0])) && cuts.contains(&set(&[1])));
         assert_eq!(cuts.len(), 2);
     }
 
     #[test]
-    fn parallel_paths_and_cuts() {
+    fn parallel_cuts() {
         let r = Rbd::parallel(vec![Rbd::component(0), Rbd::component(1)]);
-        let paths = minimal_path_sets(&r);
-        assert!(paths.contains(&set(&[0])) && paths.contains(&set(&[1])));
         assert_eq!(minimal_cut_sets(&r), vec![set(&[0, 1])]);
     }
 
     #[test]
-    fn two_of_three_sets() {
+    fn two_of_three_cuts() {
         let r = Rbd::k_of_n(2, vec![Rbd::component(0), Rbd::component(1), Rbd::component(2)]);
-        let paths = minimal_path_sets(&r);
-        assert_eq!(paths.len(), 3);
-        assert!(paths.contains(&set(&[0, 1])));
-        assert!(paths.contains(&set(&[0, 2])));
-        assert!(paths.contains(&set(&[1, 2])));
         let cuts = minimal_cut_sets(&r);
         assert_eq!(cuts.len(), 3);
         assert!(cuts.contains(&set(&[0, 1])));
+        assert!(cuts.contains(&set(&[0, 2])));
+        assert!(cuts.contains(&set(&[1, 2])));
     }
 
     #[test]
@@ -176,8 +126,6 @@ mod tests {
             Rbd::component(0),
             Rbd::parallel(vec![Rbd::component(1), Rbd::component(2)]),
         ]);
-        let paths = minimal_path_sets(&r);
-        assert_eq!(paths, vec![set(&[0, 1]), set(&[0, 2])]);
         let cuts = minimal_cut_sets(&r);
         assert!(cuts.contains(&set(&[0])));
         assert!(cuts.contains(&set(&[1, 2])));
@@ -186,34 +134,12 @@ mod tests {
 
     #[test]
     fn supersets_are_pruned() {
-        // parallel(a, series(a, b)): path {0} makes {0,1} non-minimal.
-        let r = Rbd::parallel(vec![
-            Rbd::component(0),
-            Rbd::series(vec![Rbd::component(0), Rbd::component(1)]),
-        ]);
-        assert_eq!(minimal_path_sets(&r), vec![set(&[0])]);
-    }
-
-    #[test]
-    fn bounds_bracket_exact_availability() {
-        let mut t = ComponentTable::new();
-        for i in 0..3 {
-            t.add(format!("c{i}"), 0.9 - 0.05 * i as f64);
-        }
+        // series(a, parallel(a, b)): cut {0} makes {0,1} non-minimal.
         let r = Rbd::series(vec![
             Rbd::component(0),
-            Rbd::parallel(vec![Rbd::component(1), Rbd::component(2)]),
+            Rbd::parallel(vec![Rbd::component(0), Rbd::component(1)]),
         ]);
-        let exact = r.availability(&t).unwrap();
-        let (lo, hi) = esary_proschan_bounds(
-            &minimal_path_sets(&r),
-            &minimal_cut_sets(&r),
-            t.availabilities(),
-        );
-        assert!(lo <= exact + 1e-12, "lo={lo} exact={exact}");
-        assert!(hi >= exact - 1e-12, "hi={hi} exact={exact}");
-        // Series-parallel without repetition: the lower bound is exact.
-        assert!((lo - exact).abs() < 1e-12);
+        assert_eq!(minimal_cut_sets(&r), vec![set(&[0])]);
     }
 
     #[test]

@@ -26,6 +26,17 @@ cargo clippy --workspace --all-targets --all-features --offline -- -D warnings \
 echo "==> cargo test --workspace"
 cargo test --workspace --offline -q
 
+# The examples are part of the user surface, so each one must run, not
+# only compile. gmb_workbench prints GMB's hand-built models, their
+# parametric sweep and the DOT export; its stdout must match the
+# committed golden byte for byte.
+echo "==> examples (run every examples/*.rs; gmb_workbench against its golden)"
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    cargo run --offline -q --example "$name" > "target/ci_example_$name.txt"
+done
+cmp target/ci_example_gmb_workbench.txt tests/golden/gmb_workbench.txt
+
 # The benchmark is a package of its own outside the workspace; build
 # and test it here so a change to an API it calls (transient::solve,
 # absorbing::mttf, reliability_curve) fails CI, not the benchmark build.

@@ -7,8 +7,10 @@
 //! * [`core`] — the Model Generator: spec → Markov/RBD hierarchy →
 //!   measures.
 //! * [`markov`] — CTMC / semi-Markov solvers.
-//! * [`rbd`] — reliability block diagrams.
-//! * [`gmb`] — the Graphical Model Builder equivalent.
+//! * [`rbd`] — reliability block diagrams: the one RBD availability
+//!   evaluator, importance measures, and the BDD behind Tier C lint.
+//! * [`gmb`] — the Graphical Model Builder equivalent: hand-built
+//!   Markov, semi-Markov and RBD models over a parameter table.
 //! * [`sim`] — Monte-Carlo simulation and synthetic field data.
 //! * [`fielddata`] — outage-log analysis.
 //! * [`lint`] — the static analyzer: Tier A spec diagnostics, Tier B

@@ -124,6 +124,12 @@ fn mg_and_hand_built_gmb_model_agree_exactly() {
     let gmb = reg.availability("box").unwrap();
 
     assert!((mg.availability - gmb).abs() < 1e-12, "{} vs {gmb}", mg.availability);
+
+    // The same hand-built model solved by dense LU, the SHARPE stand-in
+    // (independent numerics as well as an independent model).
+    reg.set_method(SteadyStateMethod::Lu);
+    let gmb_lu = reg.availability("box").unwrap();
+    assert!((mg.availability - gmb_lu).abs() < 1e-12, "{} vs {gmb_lu}", mg.availability);
 }
 
 /// A redundant MG block cross-checked against a GMB RBD-over-Markov
